@@ -19,6 +19,15 @@ The row set spans the regimes the engine sees in practice:
 * ``mesh`` — an actual smoothing trace (randomized ordering), the
   distribution the pipelines feed the simulator.
 
+One more row times the reuse-distance kernel rather than the simulator:
+
+* ``reuse-kernel`` — exact per-event reuse distances of one storage-order
+  sweep over a 30k-vertex crake mesh: ``reuse_distances`` (the
+  dominance-counting kernel) against the Bennett-Kruskal Fenwick loop
+  kept as a test oracle (``tests/memsim/oracles.py``), with identical
+  distances asserted. In this row ``reference_s`` is the Fenwick loop
+  and ``batched_s`` the kernel.
+
 Scaled-*down* machines (calibrated caches a few hundred lines wide)
 shift work into the exact replay of divergence windows and can run
 *slower* than the reference; the pipelines default to the reference
@@ -26,7 +35,9 @@ engine, and the batched engine targets full-scale sweeps (see
 DESIGN.md §10). Those regimes are therefore not gated here.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import run_once
@@ -34,8 +45,15 @@ from conftest import run_once
 from repro.bench import format_table, save_json
 from repro import RunConfig
 from repro.core.pipeline import run_ordering
-from repro.memsim import simulate_trace, westmere_ex
-from repro.meshgen import perturb_interior, structured_rectangle
+from repro.memsim import reuse_distances, simulate_trace, westmere_ex
+from repro.meshgen import (
+    generate_domain_mesh,
+    perturb_interior,
+    structured_rectangle,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.memsim.oracles import fenwick_reuse_distances  # noqa: E402
 
 
 def _time_both(name: str, lines: np.ndarray) -> dict:
@@ -79,6 +97,37 @@ def _mesh_lines() -> np.ndarray:
     return run.lines
 
 
+def _time_reuse(name: str, lines: np.ndarray) -> dict:
+    t0 = time.perf_counter()
+    ref = fenwick_reuse_distances(lines)
+    ref_s = time.perf_counter() - t0
+    kernel_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        got = reuse_distances(lines)
+        kernel_s = min(kernel_s, time.perf_counter() - t0)
+    assert np.array_equal(ref, got)
+    return {
+        "stream": name,
+        "events": int(lines.size),
+        "distinct_lines": int(np.unique(lines).size),
+        "reference_s": ref_s,
+        "batched_s": kernel_s,
+        "speedup": ref_s / kernel_s,
+    }
+
+
+def _crake_sweep_lines() -> np.ndarray:
+    mesh = generate_domain_mesh("crake", target_vertices=30000, seed=1)
+    run = run_ordering(
+        mesh,
+        "ori",
+        config=RunConfig(engine="vectorized", sim_engine="batched"),
+        fixed_iterations=1,
+    )
+    return run.lines
+
+
 def _throughput_rows() -> list[dict]:
     rng = np.random.default_rng(42)
     return [
@@ -87,6 +136,7 @@ def _throughput_rows() -> list[dict]:
         _time_both("sparse-cold", rng.integers(0, 8_000_000, size=1_000_000)),
         _time_both("uniform-warm", rng.integers(0, 500_000, size=1_000_000)),
         _time_both("mesh", _mesh_lines()),
+        _time_reuse("reuse-kernel", _crake_sweep_lines()),
     ]
 
 
@@ -109,3 +159,5 @@ def test_memsim_throughput(benchmark):
     assert by_name["sparse-cold"]["speedup"] >= 2.0
     assert by_name["uniform-warm"]["speedup"] >= 1.5
     assert by_name["mesh"]["speedup"] >= 0.8
+    # The reuse-distance kernel against the Fenwick loop on a crake sweep.
+    assert by_name["reuse-kernel"]["speedup"] >= 2.5

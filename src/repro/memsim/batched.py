@@ -24,9 +24,10 @@ remainder:
    (first occurrence of a line since ``prev``): hit iff it lands at or
    after ``t``. The scan is chunk-vectorized over set-local event ranks;
    the handful of queries with pathologically sparse windows fall back
-   to the exact straddling-interval count ``d = F(t) - G(t)`` (``F`` =
-   cold accesses before ``t``, ``G`` = per-forward-gap-class range
-   counts).
+   to an exact distinct-line count over their set-local window (the
+   events whose previous occurrence precedes ``prev``): counted directly
+   while the summed window length is small, otherwise by the dominance
+   kernel :func:`repro.memsim.reuse.count_below`.
 
 Inclusive back-invalidation is where the pure cascade can diverge from
 the reference: when L2 (or L3) evicts a victim still resident in an
@@ -57,8 +58,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import obs
 from .cache import CacheHierarchy, HierarchyStats, LevelStats, LRUCache
 from .machine import MachineSpec
+from .reuse import count_below
 
 __all__ = ["simulate_trace_batched", "batched_levels", "SIM_ENGINES"]
 
@@ -70,6 +73,13 @@ SIM_ENGINES = ("reference", "batched")
 _SCAN_CHUNK = 24
 _SCAN_MAX_STEPS = 40
 _SCAN_MIN_ACTIVE = 192
+
+# Exact fallback: count scan survivors' windows element by element while
+# their summed length stays within this many times the stream length
+# (in chunks of _DIRECT_CHUNK elements); beyond it, one dominance-kernel
+# call over the whole set-grouped stream.
+_DIRECT_WORK_FACTOR = 4
+_DIRECT_CHUNK = 1 << 18
 
 
 def _argsort_stable(values: np.ndarray) -> np.ndarray:
@@ -171,8 +181,6 @@ class _LevelStream:
         self._cr = None
         self._cold_so = None
         self._occ = None
-        self._cold_comp = None
-        self._last_comp = None
         self._prevs_so = None
         self._fo = None
         self._comp = None
@@ -247,17 +255,6 @@ class _LevelStream:
         return self._occ
 
     @property
-    def cold_comp(self) -> np.ndarray:
-        """Sorted (set, position) composite of the cold accesses."""
-        if self._cold_comp is None:
-            cs = self.cold_so.astype(np.int64)
-            if self.sets is None:
-                self._cold_comp = cs
-            else:
-                self._cold_comp = self.sets[cs] * self.n + cs
-        return self._cold_comp
-
-    @property
     def prevs_so(self) -> np.ndarray:
         """``prev`` gathered into set-grouped order (scan working array)."""
         if self._prevs_so is None:
@@ -265,17 +262,6 @@ class _LevelStream:
                 self.prev if self.so is None else self.prev[self.so]
             )
         return self._prevs_so
-
-    def _last_positions(self) -> np.ndarray:
-        if self._last_comp is None:
-            last_pos = np.nonzero(self.nxt == self.n)[0]
-            if self.sets is None:
-                self._last_comp = last_pos
-            else:
-                self._last_comp = np.sort(
-                    self.sets[last_pos].astype(np.int64) * self.n + last_pos
-                )
-        return self._last_comp
 
     def final_occ(self, victims: np.ndarray) -> np.ndarray:
         """Last stream position of each victim line (-1 when absent).
@@ -393,18 +379,6 @@ class _LevelStream:
             return self._lt[0] - self._lr[pos]
         return self._lt[self.sets[pos]] - self._lr[pos]
 
-    # -- helpers used by the exact fallback --
-
-    def set_of(self, pos: np.ndarray) -> np.ndarray:
-        if self.sets is None:
-            return np.zeros(pos.shape, dtype=np.int64)
-        return self.sets[pos].astype(np.int64)
-
-    def comp_off(self, pos: np.ndarray) -> np.ndarray:
-        """Composite offset of each position's set (0 for single-set
-        position space)."""
-        return self.set_of(pos) * self.n
-
     def solve_hits(self) -> np.ndarray:
         """Pure per-set LRU hit mask for every access of this stream."""
         n, W = self.n, self.ways
@@ -449,7 +423,9 @@ class _LevelStream:
         ev, pending = _wth_fresh_after(self, p_idx, k_rank, end_rank)
         hit[t_idx] = ev >= n  # fewer than W fresh => distance < W
         if pending.size:
-            d = self._hard_distances(t_idx[pending], p_idx[pending])
+            d = self._window_distances(
+                k_rank[pending] + 1, end_rank[pending], p_idx[pending]
+            )
             hit[t_idx[pending]] = d < W
         return hit
 
@@ -480,92 +456,33 @@ class _LevelStream:
         hit[t_idx[easy_np]] = True
         return t_idx[live_np], p_idx[live_np]
 
-    def _hard_distances(
-        self, t_q: np.ndarray, p_q: np.ndarray
+    def _window_distances(
+        self, lo: np.ndarray, hi: np.ndarray, p_q: np.ndarray
     ) -> np.ndarray:
-        """Exact within-set stack distance via the straddling-interval
-        identity (fallback for scan-resistant queries)."""
-        n, W = self.n, self.ways
-        nxt = self.nxt
-        span_q = t_q - p_q
-        sigma = self.set_of(t_q)
-        comp_off = sigma * n
+        """Exact within-set stack distance of scan-resistant queries.
 
-        cold_comp = self.cold_comp
-        last_comp = self._last_positions()
-        if self.sets is None:
-            cold_base = np.zeros(t_q.size, dtype=np.int64)
-            last_base = cold_base
-        else:
-            cold_base = np.searchsorted(cold_comp, comp_off)
-            last_base = np.searchsorted(last_comp, comp_off)
-
-        # F(t): cold same-set accesses before t.
-        F = np.searchsorted(cold_comp, comp_off + t_q) - cold_base
-        # G(t), infinite-gap part: last occurrences at or before prev.
-        G = (
-            np.searchsorted(last_comp, comp_off + p_q, side="right")
-            - last_base
-        ).astype(np.int64)
-
-        # Finite forward-gap classes; only g >= span > W can straddle.
-        # Last occurrences (nxt == n) are the infinite class counted
-        # above and must not reappear here.
-        t_all = np.arange(n)
-        cand = np.nonzero((nxt < n) & (nxt - t_all >= W + 1))[0]
-        if cand.size:
-            fg = nxt[cand].astype(np.int64) - cand
-            if self.sets is None:
-                ckey = fg
-                qkey = span_q
-            else:
-                ckey = self.sets[cand].astype(np.int64) * (n + 1) + fg
-                qkey = sigma * (n + 1) + span_q
-            corder = np.argsort(ckey, kind="stable")  # time-sorted in class
-            cand = cand[corder]
-            ckey = ckey[corder]
-            class_keys, class_starts = np.unique(ckey, return_index=True)
-            class_ends = np.append(class_starts[1:], ckey.size)
-
-            qorder = np.argsort(qkey, kind="stable")
-            qkey_sorted = qkey[qorder]
-            t_s, p_s = t_q[qorder], p_q[qorder]
-            acc = np.zeros(t_q.size, dtype=np.int64)
-
-            # Per set: classes descending by gap against queries
-            # ascending by span; class g affects the prefix span <= g.
-            set_sel = class_keys // (n + 1) if self.sets is not None else None
-            q_set = qkey_sorted // (n + 1) if self.sets is not None else None
-            for s_lo, s_hi, c_lo, c_hi in _set_blocks(
-                q_set, set_sel, qkey_sorted.size, class_keys.size
-            ):
-                if self.sets is not None:
-                    spans = qkey_sorted[s_lo:s_hi] % (n + 1)
-                    gaps = class_keys[c_lo:c_hi] % (n + 1)
-                else:
-                    spans = qkey_sorted[s_lo:s_hi]
-                    gaps = class_keys[c_lo:c_hi]
-                for ci in range(c_hi - c_lo - 1, -1, -1):
-                    g = int(gaps[ci])
-                    na = int(np.searchsorted(spans, g, side="right"))
-                    if na == 0:
-                        break
-                    lo = class_starts[c_lo + ci]
-                    hi = class_ends[c_lo + ci]
-                    cls = cand[lo:hi]
-                    ts = t_s[s_lo : s_lo + na]
-                    ps = p_s[s_lo : s_lo + na]
-                    acc[s_lo : s_lo + na] += np.searchsorted(
-                        cls, ps, side="right"
-                    ) - np.searchsorted(cls, ts - g, side="left")
-            G += _scatter_perm(acc, qorder)
-        return F - G
-
-
-def _scatter_perm(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values)
-    out[perm] = values
-    return out
+        ``[lo, hi)`` is each query's window in set-grouped rank space
+        (the same-set events strictly between ``p_q`` and the access);
+        its distinct lines are the events there whose previous
+        occurrence precedes ``p_q``.
+        """
+        prevs = self.prevs_so
+        lens = hi - lo
+        total = int(lens.sum())
+        over = total > _DIRECT_WORK_FACTOR * self.n
+        obs.add("memsim.batched.fallback_queries", int(lo.size))
+        obs.add("memsim.batched.fallback_kernel_calls", int(over))
+        obs.add("memsim.batched.fallback_direct_elements", 0 if over else total)
+        if over:
+            return count_below(prevs + 1, lo, hi, p_q + 1)
+        out = np.zeros(lo.size, dtype=np.int64)
+        starts = np.cumsum(lens) - lens  # flat offset of each window
+        for s in range(0, total, _DIRECT_CHUNK):
+            k = np.arange(s, min(s + _DIRECT_CHUNK, total))
+            q = np.searchsorted(starts, k, side="right") - 1
+            below = prevs[lo[q] + (k - starts[q])] < p_q[q]
+            out += np.bincount(q[below], minlength=lo.size)
+        return out
 
 
 def _subset_order(order: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -578,21 +495,6 @@ def _subset_order(order: np.ndarray, member: np.ndarray) -> np.ndarray:
     kept = order[member[order]]
     local = np.cumsum(member, dtype=np.int32)
     return local[kept] - np.int32(1)
-
-
-def _set_blocks(q_set, c_set, nq, nc):
-    """Aligned (query-slice, class-slice) blocks, one per cache set."""
-    if q_set is None:
-        yield 0, nq, 0, nc
-        return
-    sets = np.unique(np.concatenate([q_set, c_set]))
-    q_b = np.searchsorted(q_set, sets)
-    q_e = np.searchsorted(q_set, sets, side="right")
-    c_b = np.searchsorted(c_set, sets)
-    c_e = np.searchsorted(c_set, sets, side="right")
-    for i in range(sets.size):
-        if q_e[i] > q_b[i] and c_e[i] > c_b[i]:
-            yield int(q_b[i]), int(q_e[i]), int(c_b[i]), int(c_e[i])
 
 
 def _wth_fresh_after(
@@ -610,7 +512,7 @@ def _wth_fresh_after(
     holds the global position of the W-th fresh arrival or ``n`` when
     fewer than W occur in the window; ``pending`` the indices the
     bounded scan did not resolve (callers finish them via
-    :meth:`_LevelStream._hard_distances`). With ``exhaustive=True`` the
+    :meth:`_LevelStream._window_distances`). With ``exhaustive=True`` the
     vector loop runs to completion and ``pending`` is always empty.
     """
     n, W = stream.n, stream.ways

@@ -1,4 +1,4 @@
-"""Exact reuse-distance analysis (Bennett-Kruskal / Olken algorithm).
+"""Exact reuse-distance analysis as whole-array dominance counting.
 
 The reuse distance (stack distance under LRU) of an access is the number
 of *distinct* items referenced since the previous access to the same
@@ -7,24 +7,23 @@ fully-associative LRU cache of capacity C, an access hits iff its reuse
 distance is < C — which is the first-order model the paper builds its
 whole analysis on (Section 3.1).
 
-Algorithm: the classic formulation keeps a Fenwick tree over time
-marking which positions are currently "the latest access of some item";
-the vectorized version used here counts *contained repeats* instead.
-With ``p`` the previous access to the same item and ``span = t - p``,
+With ``p = prev[t]`` the previous access to the same item, the items
+touched in ``(p, t)`` are counted once each at their *first* access
+inside the window — the accesses ``j`` whose own previous occurrence
+lies before the window:
 
-    distance(t) = span - 1 - #{repeats (prev_f, f) contained in (p, t)}
+    distance(t) = #{j : p < j < t, prev[j] < p}
 
-because every access ``f`` in the window whose own previous occurrence
-``prev_f`` also lies after ``p`` double-counts an item the plain
-position count already saw. Repeats are binned by their backward gap
-``g = f - prev_f``; a repeat with gap ``g`` is contained iff
-``p + g < f < t``, which per gap class is a 1-D range count answered by
-two ``searchsorted`` calls over *all* queries at once. Only gap classes
-with ``g + 2 <= span`` can contribute, so queries are processed in
-descending span order and each class touches only the still-active
-prefix. On streams where that class/span product degenerates (estimated
-up front) the original O(n log n) Fenwick loop is used instead, so the
-worst case never regresses.
+That is a two-sided dominance count (a position range crossed with a
+value threshold), answered for every access at once by
+:func:`count_below`. The kernel is a wavelet matrix walked level by
+level without storing the levels: one stable 0/1 partition of the
+values per bit, one ``cumsum`` rank array, and every query's range
+remapped through it. Its cost is O((n + q) log n) whatever the access
+pattern — no gap spectrum or locality degrades it — and its working
+memory is O(n + q). The batched cache simulator answers its exact
+within-set fallback with the same kernel
+(:meth:`repro.memsim.batched._LevelStream._window_distances`).
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "count_below",
     "reuse_distances",
     "ReuseProfile",
     "profile_from_distances",
@@ -43,10 +43,6 @@ __all__ = [
 ]
 
 COLD = -1  # sentinel distance for first-touch accesses
-
-# Fall back to the Fenwick loop when the class-sweep would do more than
-# this many range-count lookups per access (adversarial gap spectra).
-_SWEEP_WORK_FACTOR = 64
 
 
 def previous_occurrence(stream: np.ndarray) -> np.ndarray:
@@ -68,97 +64,55 @@ def previous_occurrence(stream: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _distances_fenwick(prev: np.ndarray) -> np.ndarray:
-    """Reference Bennett-Kruskal loop (kept as the worst-case fallback)."""
-    n = prev.size
-    out = np.full(n, COLD, dtype=np.int64)
-    size = n + 1
-    tree = [0] * size  # Fenwick tree over access times (1-based)
-    out_local = out
-    prev_list = prev.tolist()
-
-    for t, t0 in enumerate(prev_list):
-        if t0 >= 0:
-            # Count marks strictly inside (t0, t): each is the latest
-            # access of a distinct other item touched since t0.
-            s = 0
-            i = t  # prefix over [0, t-1], 1-based index t
-            while i > 0:
-                s += tree[i]
-                i -= i & (-i)
-            i = t0 + 1
-            while i > 0:
-                s -= tree[i]
-                i -= i & (-i)
-            out_local[t] = s
-            i = t0 + 1  # unmark the previous occurrence
-            while i < size:
-                tree[i] -= 1
-                i += i & (-i)
-        i = t + 1  # mark this occurrence as the item's latest
-        while i < size:
-            tree[i] += 1
-            i += i & (-i)
-    return out
-
-
-def contained_repeat_counts(
-    prev: np.ndarray, t_idx: np.ndarray, p_idx: np.ndarray
+def count_below(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray
 ) -> np.ndarray:
-    """For each query window ``(p_idx[q], t_idx[q])``, count repeats inside.
+    """``#{lo[q] <= j < hi[q] : values[j] < bound[q]}`` for every query.
 
-    A repeat is a position ``f`` with ``prev[f] >= 0`` whose backward gap
-    ``g = f - prev[f]`` satisfies ``p + g < f < t`` — i.e. both endpoints
-    of the interval ``(prev[f], f)`` fall strictly inside the window.
-    Vectorized per distinct gap class; cost is proportional to the number
-    of (query, class-with-smaller-gap) pairs.
+    ``values`` must be non-negative integers; ``lo``/``hi`` are position
+    bounds with ``0 <= lo <= hi <= values.size``; ``bound`` is any integer
+    (non-positive bounds count nothing, bounds above the maximum count
+    the whole range). Returns int64 counts.
+
+    Bits are visited from the most significant down. At each level a
+    query's range covers exactly the values that agree with ``bound`` on
+    the bits above; those with a 0 at the current bit where ``bound`` has
+    a 1 are all below it and are counted, and the range follows the
+    bound's bit into the zeros (front) or ones (back) of the stable
+    partition, through the prefix count of zeros.
     """
-    nq = t_idx.size
-    counts = np.zeros(nq, dtype=np.int64)
-    if nq == 0:
-        return counts
-    repeats = np.nonzero(prev >= 0)[0]
-    if repeats.size == 0:
-        return counts
-    gaps = repeats - prev[repeats]
-    # Group repeat positions by gap; positions stay time-sorted in-group.
-    g_order = np.argsort(gaps, kind="stable")
-    g_sorted = gaps[g_order]
-    f_by_gap = repeats[g_order]
-    class_gaps, class_starts = np.unique(g_sorted, return_index=True)
-    class_ends = np.append(class_starts[1:], g_sorted.size)
-
-    # Queries in descending span order: class g only affects spans >= g+2,
-    # a prefix of this order, so accumulation stays slice-aligned.
-    span = t_idx - p_idx
-    q_order = np.argsort(-span, kind="stable")
-    span_desc = span[q_order]
-    t_desc = t_idx[q_order]
-    p_desc = p_idx[q_order]
-    acc = np.zeros(nq, dtype=np.int64)
-
-    # active(g) = #queries with span >= g + 2, a prefix of the
-    # descending span order.
-    active = np.searchsorted(-span_desc, -(class_gaps + 1))
-    if int(active.sum()) > _SWEEP_WORK_FACTOR * (prev.size + nq):
-        raise _SweepDegenerate()
-
-    for gap, lo, hi, na in zip(
-        class_gaps.tolist(), class_starts.tolist(), class_ends.tolist(),
-        active.tolist(),
-    ):
-        if na == 0:
-            break  # spans only shrink from here on
-        cls = f_by_gap[lo:hi]
-        hi_cnt = np.searchsorted(cls, t_desc[:na], side="left")
-        lo_cnt = np.searchsorted(cls, p_desc[:na] + gap, side="right")
-        acc[:na] += hi_cnt - lo_cnt
-    counts[q_order] = acc
-    return counts
-
-
-class _SweepDegenerate(Exception):
-    """Raised when the class sweep would exceed its work budget."""
+    values = np.asarray(values)
+    lo, hi, bound = np.asarray(lo), np.asarray(hi), np.asarray(bound)
+    out = np.zeros(lo.size, dtype=np.int64)
+    live = lo < hi
+    if values.size == 0 or not live.any():
+        return out
+    if not live.all():  # empty windows count nothing: drop them up front
+        out[live] = count_below(values, lo[live], hi[live], bound[live])
+        return out
+    if int(values.min()) < 0:
+        raise ValueError("count_below needs non-negative values")
+    n = values.size
+    top = int(values.max()) + 1
+    idx = np.int32 if max(n, top) < np.iinfo(np.int32).max else np.int64
+    # values < bound iff values < clip(bound, 0, max + 1), so every bound
+    # fits in the bit length of max + 1: one level per bit.
+    bnd = np.clip(bound, 0, top).astype(idx)
+    lo, hi = lo.astype(idx), hi.astype(idx)
+    cur = values.astype(idx)
+    zeros = np.zeros(n + 1, dtype=idx)  # zeros[i] = 0-bits in cur[:i]
+    for k in range(top.bit_length() - 1, -1, -1):
+        is0 = ((cur >> k) & 1) == 0
+        np.cumsum(is0, out=zeros[1:])
+        nz = zeros[-1]
+        z_lo, z_hi = zeros[lo], zeros[hi]
+        up = ((bnd >> k) & 1).astype(bool)
+        out += np.where(up, z_hi - z_lo, 0)
+        lo = np.where(up, lo - z_lo + nz, z_lo)
+        hi = np.where(up, hi - z_hi + nz, z_hi)
+        if k:
+            cur = np.concatenate((cur[is0], cur[~is0]))
+    return out
 
 
 def reuse_distances(stream: np.ndarray) -> np.ndarray:
@@ -184,11 +138,8 @@ def reuse_distances(stream: np.ndarray) -> np.ndarray:
     if t_idx.size == 0:
         return out
     p_idx = prev[t_idx]
-    try:
-        repeats = contained_repeat_counts(prev, t_idx, p_idx)
-    except _SweepDegenerate:
-        return _distances_fenwick(prev)
-    out[t_idx] = t_idx - p_idx - 1 - repeats
+    # prev[j] < p  <=>  prev[j] + 1 < p + 1, with cold (-1) mapped to 0.
+    out[t_idx] = count_below(prev + 1, p_idx + 1, t_idx, p_idx + 1)
     return out
 
 

@@ -12,6 +12,7 @@ differential search to many machine geometries and stream shapes.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import RunConfig, obs
+from repro.memsim import batched as batched_module
 from repro.memsim import (
     SIM_ENGINES,
     batched_levels,
@@ -133,13 +136,88 @@ class TestBatchedMatchesReference:
         arrs = [np.asarray(s, dtype=np.int64) for s in per_core]
         ref = simulate_multicore(arrs, machine, affinity=affinity)
         got = simulate_multicore(
-            arrs, machine, affinity=affinity, sim_engine="batched"
+            arrs, machine, affinity=affinity,
+            config=RunConfig(sim_engine="batched"),
         )
         assert len(ref.per_core) == len(got.per_core)
         for cr_ref, cr_got in zip(ref.per_core, got.per_core):
             assert (cr_ref.core, cr_ref.socket) == (cr_got.core, cr_got.socket)
             assert_stats_equal(cr_ref.stats, cr_got.stats)
         assert ref.access_counts() == got.access_counts()
+
+
+#: Few sets, so the scan stage meets long same-set windows.
+SPARSE_GEOMETRIES = [
+    (1, 2, 1, 3, 1, 4),
+    (1, 4, 1, 5, 1, 6),
+    (1, 3, 2, 3, 2, 4),
+    (2, 2, 2, 3, 1, 6),
+]
+
+#: Runs of a few lines: long runs of one line leave the other lines'
+#: windows long but short of distinct arrivals, which the bounded scan
+#: cannot settle.
+run_streams = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(1, 40)), min_size=1, max_size=30
+).map(
+    lambda runs: np.repeat(
+        np.array([line for line, _ in runs], dtype=np.int64),
+        [length for _, length in runs],
+    )
+)
+
+
+def fallback_counters(lines, machine, factor):
+    """Batched stats and the fallback counters with the direct-count
+    budget set to ``factor`` times the stream length."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batched_module, "_DIRECT_WORK_FACTOR", factor)
+        with obs.capture() as tracer:
+            stats, served = batched_levels(lines, machine)
+    counters = tracer.metrics.snapshot()["counters"]
+    return stats, served, {
+        k.rsplit(".", 1)[-1]: v for k, v in counters.items() if "fallback" in k
+    }
+
+
+class TestExactFallback:
+    """Both branches of the scan stage's exact fallback: the chunked
+    direct count (unlimited budget) and the dominance kernel (zero
+    budget) must reproduce the reference replay."""
+
+    @pytest.mark.parametrize("factor", [0, math.inf], ids=["kernel", "direct"])
+    def test_branch_taken_on_a_long_window(self, factor):
+        # A; 60 events alternating B and C; A again.  The reuse of A
+        # sees two distinct lines in a 60-event window: past the gap and
+        # cold filters, and beyond the scan's first chunk.
+        lines = np.array([0] + [1, 2] * 30 + [0, 3, 0], dtype=np.int64)
+        machine = toy_machine(1, 4, 1, 5, 1, 6)
+        stats, served, counters = fallback_counters(lines, machine, factor)
+        ref_stats, ref_served = reference_levels(lines, machine)
+        assert_stats_equal(ref_stats, stats)
+        assert np.array_equal(ref_served, served)
+        assert counters["fallback_queries"] > 0
+        if factor == 0:
+            assert counters["fallback_kernel_calls"] > 0
+            assert counters["fallback_direct_elements"] == 0
+        else:
+            assert counters["fallback_kernel_calls"] == 0
+            assert counters["fallback_direct_elements"] > 0
+
+    @given(lines=run_streams, geometry=st.sampled_from(SPARSE_GEOMETRIES))
+    @settings(max_examples=60, deadline=None)
+    def test_both_branches_match_reference(self, lines, geometry):
+        machine = toy_machine(*geometry)
+        ref = CacheHierarchy(machine).run(lines)
+        for factor in (0, math.inf):
+            stats, _, _ = fallback_counters(lines, machine, factor)
+            assert_stats_equal(ref, stats)
+
+    def test_counters_cost_nothing_untraced(self):
+        # With tracing off the counters record nothing at all.
+        lines = np.array([0] + [1, 2] * 30 + [0], dtype=np.int64)
+        batched_levels(lines, toy_machine(1, 4, 1, 5, 1, 6))
+        assert obs.metrics().snapshot()["counters"] == {}
 
 
 class TestBatchedGolden:
@@ -155,7 +233,9 @@ class TestBatchedGolden:
         machine = westmere_ex(scale=config["machine_scale"])
         with np.load(FIXTURE_DIR / f"{name}.npz") as fixture:
             lines = fixture["lines"]
-        stats = simulate_trace(lines, machine, sim_engine="batched")
+        stats = simulate_trace(
+            lines, machine, config=RunConfig(sim_engine="batched")
+        )
         want = golden_stats[name]["levels"]
         for level in stats.levels():
             assert level.accesses == want[level.name]["accesses"]
@@ -169,7 +249,9 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         machine = toy_machine(*GEOMETRIES[0])
         with pytest.raises(ValueError, match="sim engine"):
-            simulate_trace(np.arange(4), machine, sim_engine="nope")
+            simulate_trace(
+                np.arange(4), machine, config=RunConfig(sim_engine="nope")
+            )
 
     def test_empty_stream(self):
         machine = toy_machine(*GEOMETRIES[0])

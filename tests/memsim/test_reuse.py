@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim import (
     COLD,
@@ -11,6 +13,9 @@ from repro.memsim import (
     profile_from_distances,
     reuse_distances,
 )
+from repro.memsim.reuse import count_below
+
+from .oracles import fenwick_reuse_distances
 
 
 def brute_force_reuse(stream):
@@ -63,6 +68,134 @@ class TestReuseDistances:
 
     def test_empty_stream(self):
         assert reuse_distances(np.array([], dtype=int)).size == 0
+
+
+def brute_force_count_below(values, lo, hi, bound):
+    return np.array(
+        [int(np.count_nonzero(values[a:b] < c)) for a, b, c in zip(lo, hi, bound)],
+        dtype=np.int64,
+    )
+
+
+@st.composite
+def count_queries(draw):
+    """Values plus queries that include empty, full and tail ranges and
+    bounds below, inside and above the value range."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    top = draw(st.sampled_from([0, 1, 5, n, 3 * n + 7]))
+    values = np.asarray(
+        draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    position = st.integers(0, n)
+    pairs = draw(st.lists(st.tuples(position, position), max_size=40))
+    pairs += [(n, n), (0, n), (0, 0)]
+    lo = np.array([min(a, b) for a, b in pairs], dtype=np.int64)
+    hi = np.array([max(a, b) for a, b in pairs], dtype=np.int64)
+    bound = np.asarray(
+        draw(
+            st.lists(
+                st.integers(-3, top + 10),
+                min_size=lo.size,
+                max_size=lo.size,
+            )
+        ),
+        dtype=np.int64,
+    )
+    return values, lo, hi, bound
+
+
+def shuffled_cycles(k, rounds, seed=0):
+    """Every round a fresh permutation of ``k`` items: gaps spread over
+    1 .. 2k - 1 with long spans."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.permutation(k) for _ in range(rounds)])
+
+
+def geometric_cycles(levels, rounds, seed=0):
+    """Shuffled cycles whose lengths double: a geometric gap spectrum."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate(
+        [
+            rng.permutation(2**j)
+            for j in range(1, levels + 1)
+            for _ in range(rounds)
+        ]
+    )
+
+
+def nested_mirror(m, copies=2):
+    """``0 1 .. m-1 m-1 .. 1 0`` repeated: every reuse gap is distinct."""
+    a = np.arange(m)
+    return np.tile(np.concatenate([a, a[::-1]]), copies)
+
+
+class TestCountBelow:
+    @given(count_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, case):
+        values, lo, hi, bound = case
+        got = count_below(values, lo, hi, bound)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, brute_force_count_below(values, lo, hi, bound))
+
+    def test_single_value(self):
+        values = np.array([4])
+        lo, hi = np.array([0, 0, 1, 0]), np.array([1, 0, 1, 1])
+        bound = np.array([5, 5, 5, 4])
+        assert count_below(values, lo, hi, bound).tolist() == [1, 0, 0, 0]
+
+    def test_all_equal_values(self):
+        values = np.full(9, 3)
+        lo, hi = np.array([0, 2, 9]), np.array([9, 7, 9])
+        assert count_below(values, lo, hi, np.array([4, 3, 4])).tolist() == [
+            9,
+            0,
+            0,
+        ]
+
+    def test_bounds_above_maximum_count_the_range(self):
+        values = np.array([0, 7, 2, 7, 1])
+        lo, hi = np.array([0, 1]), np.array([5, 4])
+        bound = np.array([10**15, 8])
+        assert count_below(values, lo, hi, bound).tolist() == [5, 3]
+
+    def test_no_queries_or_no_values(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert count_below(np.arange(5), empty, empty, empty).size == 0
+        zero = np.zeros(2, dtype=np.int64)
+        assert count_below(empty, zero, zero, zero + 3).tolist() == [0, 0]
+
+    def test_negative_values_rejected(self):
+        one = np.array([1])
+        with pytest.raises(ValueError, match="non-negative"):
+            count_below(np.array([-1, 2]), one * 0, one, one)
+
+
+class TestReuseAgainstOracles:
+    @given(st.lists(st.integers(0, 12), max_size=200))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_fenwick_and_brute_force(self, stream):
+        arr = np.asarray(stream, dtype=np.int64)
+        got = reuse_distances(arr)
+        assert np.array_equal(got, fenwick_reuse_distances(arr))
+        assert np.array_equal(got, brute_force_reuse(stream))
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            shuffled_cycles(300, 3),
+            geometric_cycles(8, 4),
+            nested_mirror(300),
+        ],
+        ids=["shuffled-cycles", "geometric-cycles", "nested-mirror"],
+    )
+    def test_adversarial_gap_spectra(self, stream):
+        # Wide spectra of distinct gaps with long spans: the shape that
+        # made a per-gap-class sweep quadratic.
+        got = reuse_distances(stream)
+        assert np.array_equal(got, fenwick_reuse_distances(stream))
+        assert np.array_equal(got, brute_force_reuse(stream.tolist()))
 
 
 class TestProfile:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import RunConfig
 from repro.memsim import (
     MemoryLayout,
     simulate_multicore,
@@ -61,10 +62,12 @@ def test_sharded_matches_sequential_on_mesh_traces(
     machine = tiny_machine()
     streams = _mesh_streams(ocean_mesh, machine, num_cores)
     seq = simulate_multicore(
-        streams, machine, affinity=affinity, engine="sequential"
+        streams, machine, affinity=affinity,
+        config=RunConfig(mem_engine="sequential"),
     )
     shd = simulate_multicore(
-        streams, machine, affinity=affinity, engine="sharded"
+        streams, machine, affinity=affinity,
+        config=RunConfig(mem_engine="sharded"),
     )
     assert_identical(seq, shd)
 
@@ -140,5 +143,7 @@ def test_socket_shards_partition_cores(affinity):
 def test_unknown_replay_engine_rejected():
     with pytest.raises(ValueError, match="unknown replay engine"):
         simulate_multicore(
-            [np.arange(4, dtype=np.int64)], tiny_machine(), engine="warp"
+            [np.arange(4, dtype=np.int64)],
+            tiny_machine(),
+            config=RunConfig(mem_engine="warp"),
         )

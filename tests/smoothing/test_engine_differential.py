@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import RunConfig
 from repro.meshgen import perturb_interior, structured_rectangle
 from repro.smoothing import ENGINES, LaplacianSmoother, laplacian_smooth
 
@@ -35,7 +36,9 @@ FAST = settings(
 def _run_both(mesh, **kwargs):
     results = {}
     for engine in ENGINES:
-        results[engine] = laplacian_smooth(mesh, engine=engine, **kwargs)
+        results[engine] = laplacian_smooth(
+            mesh, config=RunConfig(engine=engine), **kwargs
+        )
     return results["reference"], results["vectorized"]
 
 
@@ -143,7 +146,7 @@ def test_engines_match_on_random_meshes(
 
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
-        LaplacianSmoother(engine="turbo")
+        LaplacianSmoother(config=RunConfig(engine="turbo"))
 
 
 def test_csr_segment_mean_matches_scalar_loop(ocean_mesh):
