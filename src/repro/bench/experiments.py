@@ -100,10 +100,6 @@ class BenchConfig:
     #: Vertex-ordering engine: "reference" or "batched" (vectorized
     #: frontier traversals; identical permutations).
     order_engine: str = "reference"
-    #: Array backend the fast engines run on: "numpy", "cupy" or
-    #: "torch" (see :mod:`repro.backend`; uninstalled backends fall
-    #: back to numpy).
-    backend: str = "numpy"
     #: Where the smoother's trace goes: "materialize" (in-memory
     #: trace), "spill" (chunked on-disk) or "fused" (streamed straight
     #: into the simulators; identical counts, bounded memory).

@@ -17,7 +17,7 @@ Subcommands:
 Engine selection is uniform across subcommands: :func:`add_engine_args`
 derives one flag per :func:`repro.config.engine_axes` axis —
 ``--engine``/``--sim-engine``/``--mem-engine``/``--order-engine``/
-``--backend`` plus ``--seed`` and ``--machine-profile`` (or the plural
+``--trace-mode`` plus ``--seed`` and ``--machine-profile`` (or the plural
 comma-list forms for grid sweeps) — and :func:`run_config_from_args`
 folds them into one validated :class:`repro.config.RunConfig`.
 Observability flags (``--trace-out``, ``--metrics-out``) ride in the
@@ -49,7 +49,7 @@ from .config import (
 from .core import measure_reordering_cost, run_ordering
 from .lab.backends import DEFAULT_LEASE_S
 from .lab.http_store import StoreConnectionError
-from .mesh import read_triangle, write_triangle
+from .mesh import MeshValidationError, read_triangle, write_triangle
 from .meshgen import (
     generate_domain_mesh,
     list_domains,
@@ -196,9 +196,6 @@ AXIS_HELP = {
     "order_engine": "vertex-ordering engine: reference traversals or the "
                     "frontier-batched NumPy reimplementation (identical "
                     "permutations, much faster)",
-    "backend": "array backend the fast engines run on (see repro.backend); "
-               "cupy/torch fall back to numpy with a warning when not "
-               "installed",
     "trace_mode": "where the smoother's access trace goes: materialize "
                   "(full in-memory trace), spill (stream to the chunked "
                   "on-disk format) or fused (stream windows straight into "
@@ -212,9 +209,9 @@ def add_engine_args(parser, *, plural: bool = False) -> None:
 
     One flag per :func:`repro.config.engine_axes` axis plus ``--seed``
     and ``--machine-profile``: the singular form (``--engine``/
-    ``--sim-engine``/``--mem-engine``/``--order-engine``/``--backend``)
+    ``--sim-engine``/``--mem-engine``/``--order-engine``/``--trace-mode``)
     selects one :class:`repro.config.RunConfig`; the plural comma-list
-    form (``--engines``/.../``--backends``/``--seeds``) spans grid axes
+    form (``--engines``/.../``--trace-modes``/``--seeds``) spans grid axes
     for ``lab init``.  The flag set is derived from the axis registry,
     so new engine axes surface on every subcommand automatically.
     """
@@ -486,7 +483,7 @@ def _cmd_smooth(args) -> int:
             if args.ordering:
                 mesh, _ = apply_ordering(
                     mesh, args.ordering, seed=config.seed,
-                    order_engine=config.order_engine, backend=config.backend,
+                    order_engine=config.order_engine,
                 )
             result = laplacian_smooth(
                 mesh, config=config, traversal=args.traversal,
@@ -510,7 +507,7 @@ def _cmd_reorder(args) -> int:
     mesh = read_triangle(args.input)
     permuted, _ = apply_ordering(
         mesh, args.ordering, seed=config.seed,
-        order_engine=config.order_engine, backend=config.backend,
+        order_engine=config.order_engine,
     )
     node, ele = write_triangle(permuted, args.output)
     print(f"reordered {mesh.num_vertices} vertices with {args.ordering!r}")
@@ -821,7 +818,7 @@ def _cmd_lab(args) -> int:
             quality_structure=args.quality_structure,
             max_iterations=args.max_iterations,
             # One plural axis per engine_axes() entry (--engines,
-            # --sim-engines, ..., --backends).
+            # --sim-engines, ..., --trace-modes).
             **{
                 axis + "s": getattr(args, axis + "s")
                 for axis in engine_axes()
@@ -973,6 +970,10 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except UnknownNameError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MeshValidationError as exc:
+        # Bad mesh files: one line, whatever the number of issues.
+        print(f"error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
     except StoreConnectionError as exc:
         # Bad or unreachable --server targets: same one-line convention.

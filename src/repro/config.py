@@ -14,10 +14,6 @@ as ``config=``:
 * ``order_engine`` — vertex-ordering engine (``reference``/``batched``;
   both produce identical permutations, the batched one vectorizes the
   traversal/chain machinery),
-* ``backend`` — array namespace the fast engines execute on
-  (``numpy``/``cupy``/``torch``, see :mod:`repro.backend`; names
-  validate everywhere, uninstalled backends fall back to numpy at
-  execution time),
 * ``seed`` — the stochastic-ordering seed,
 * ``machine_profile`` — calibration profile for the default machine
   (``None`` keeps each API's historical default: serial pipelines
@@ -90,7 +86,6 @@ def engine_axes() -> dict[str, tuple[str, ...]]:
     Imported lazily so this module stays dependency-free at import time
     (the smoothing and memsim packages import it back for their shims).
     """
-    from .backend import BACKEND_NAMES
     from .memsim.batched import SIM_ENGINES
     from .memsim.multicore import MEM_ENGINES
     from .memsim.sink import TRACE_MODES
@@ -102,7 +97,6 @@ def engine_axes() -> dict[str, tuple[str, ...]]:
         "sim_engine": tuple(SIM_ENGINES),
         "mem_engine": tuple(MEM_ENGINES),
         "order_engine": tuple(ORDER_ENGINES),
-        "backend": tuple(BACKEND_NAMES),
         "trace_mode": tuple(TRACE_MODES),
     }
 
@@ -144,7 +138,6 @@ class RunConfig:
     sim_engine: str = "reference"
     mem_engine: str = "sequential"
     order_engine: str = "reference"
-    backend: str = "numpy"
     trace_mode: str = "materialize"
     seed: int = 0
     machine_profile: str | None = None

@@ -51,6 +51,7 @@ from ..memsim import (
     modeled_time,
     profile_from_distances,
     replay_chunked_trace,
+    resolve_machine,
     reuse_distances,
     simulate_multicore,
     simulate_trace,
@@ -168,7 +169,6 @@ def _prepare(
     rank_passes: int = DEFAULT_RANK_PASSES,
     precomputed_order: np.ndarray | None = None,
     order_engine: str = "reference",
-    backend: str = "numpy",
 ) -> tuple[TriMesh, np.ndarray, np.ndarray]:
     """Rank-smooth the quality signal and permute the mesh under it.
 
@@ -191,7 +191,7 @@ def _prepare(
     else:
         permuted, order = apply_ordering(
             mesh, ordering, seed=seed, qualities=rank_q,
-            order_engine=order_engine, backend=backend,
+            order_engine=order_engine,
         )
     return permuted, order, rank_q[order]
 
@@ -201,7 +201,7 @@ def run_ordering(
     ordering: str,
     *,
     config: RunConfig | None = None,
-    machine: MachineSpec | str | None = None,
+    machine: MachineSpec | None = None,
     traversal: str = "greedy",
     max_iterations: int = 50,
     fixed_iterations: int | None = None,
@@ -274,12 +274,8 @@ def run_ordering(
         machine = default_machine_for(
             mesh, profile=config.machine_profile or "serial"
         )
-    elif not isinstance(machine, MachineSpec):
-        from ..memsim.machine import resolve_machine
-
-        machine = resolve_machine(
-            machine, footprint_bytes=MemoryLayout.for_mesh(mesh).total_bytes
-        )
+    else:
+        machine = resolve_machine(machine)
     rank_passes = (
         DEFAULT_RANK_PASSES if rank_passes_override is None else rank_passes_override
     )
@@ -290,7 +286,6 @@ def run_ordering(
         engine=config.engine,
         sim_engine=config.sim_engine,
         order_engine=config.order_engine,
-        backend=config.backend,
     ):
         with obs.span(
             "pipeline.reorder",
@@ -299,7 +294,7 @@ def run_ordering(
         ) as sp:
             permuted, order, _ = _prepare(
                 mesh, ordering, qualities, config.seed, rank_passes,
-                precomputed_order, config.order_engine, config.backend,
+                precomputed_order, config.order_engine,
             )
             sp.add_event(permuted.num_vertices)
         if summary_only:
@@ -489,7 +484,7 @@ def run_summary(run: OrderedRun) -> dict:
         "memory_accesses": int(st.memory_accesses),
         "modeled_ms": run.modeled_seconds * 1e3,
         # Full engine provenance: one column per engine_axes() axis
-        # (engine, sim_engine, mem_engine, order_engine, backend, ...).
+        # (engine, sim_engine, mem_engine, order_engine, trace_mode).
         **{axis: getattr(run.config, axis) for axis in engine_axes()},
         "seed": run.config.seed,
         "machine": run.machine.name,
@@ -541,7 +536,7 @@ def run_parallel_ordering(
     num_cores: int,
     *,
     config: RunConfig | None = None,
-    machine: MachineSpec | str | None = None,
+    machine: MachineSpec | None = None,
     iterations: int = 8,
     traversal: str = "greedy",
     affinity: str = "scatter",
@@ -579,12 +574,8 @@ def run_parallel_ordering(
         machine = default_machine_for(
             mesh, profile=config.machine_profile or "scaling"
         )
-    elif not isinstance(machine, MachineSpec):
-        from ..memsim.machine import resolve_machine
-
-        machine = resolve_machine(
-            machine, footprint_bytes=MemoryLayout.for_mesh(mesh).total_bytes
-        )
+    else:
+        machine = resolve_machine(machine)
     with obs.activated(config.obs), obs.span(
         "pipeline.run_parallel_ordering",
         mesh=mesh.name,
@@ -593,7 +584,6 @@ def run_parallel_ordering(
         mem_engine=config.mem_engine,
         sim_engine=config.sim_engine,
         order_engine=config.order_engine,
-        backend=config.backend,
     ):
         if qualities is None:
             qualities = vertex_quality(mesh)
@@ -604,7 +594,7 @@ def run_parallel_ordering(
         ) as sp:
             permuted, order, perm_q = _prepare(
                 mesh, ordering, qualities, config.seed,
-                order_engine=config.order_engine, backend=config.backend,
+                order_engine=config.order_engine,
             )
             sp.add_event(permuted.num_vertices)
         layout = MemoryLayout.for_mesh(permuted, line_size=machine.line_size)

@@ -38,7 +38,6 @@ class JobSpec:
     sim_engine: str = "reference"
     mem_engine: str = "sequential"
     order_engine: str = "reference"
-    backend: str = "numpy"
     trace_mode: str = "materialize"
     stream_window_events: int | None = None
 
@@ -93,7 +92,6 @@ def validate_names(
     sim_engines: tuple[str, ...] = (),
     mem_engines: tuple[str, ...] = (),
     order_engines: tuple[str, ...] = (),
-    backends: tuple[str, ...] = (),
     trace_modes: tuple[str, ...] = (),
 ) -> None:
     """Raise :class:`UnknownNameError` for the first unknown name."""
@@ -110,13 +108,12 @@ def validate_names(
         if name not in EXPERIMENT_RUNNERS:
             raise UnknownNameError("experiment", name, list(EXPERIMENT_RUNNERS))
     # Engine axes share one validation loop with repro.config — the
-    # plural keyword for axis "x" is "xs" (engines, ..., backends).
+    # plural keyword for axis "x" is "xs" (engines, ..., trace_modes).
     supplied = {
         "engine": engines,
         "sim_engine": sim_engines,
         "mem_engine": mem_engines,
         "order_engine": order_engines,
-        "backend": backends,
         "trace_mode": trace_modes,
     }
     for axis, choices in engine_axes().items():
@@ -143,7 +140,6 @@ class ExperimentGrid:
     sim_engines: tuple[str, ...] = ("reference",)
     mem_engines: tuple[str, ...] = ("sequential",)
     order_engines: tuple[str, ...] = ("reference",)
-    backends: tuple[str, ...] = ("numpy",)
     trace_modes: tuple[str, ...] = ("materialize",)
     stream_windows: tuple[int | None, ...] = (None,)
 
@@ -156,7 +152,6 @@ class ExperimentGrid:
             sim_engines=self.sim_engines,
             mem_engines=self.mem_engines,
             order_engines=self.order_engines,
-            backends=self.backends,
             trace_modes=self.trace_modes,
         )
         for window in self.stream_windows:
@@ -184,13 +179,11 @@ class ExperimentGrid:
                 sim_engine=sim_engine,
                 mem_engine=mem_engine,
                 order_engine=order_engine,
-                backend=backend,
                 trace_mode=trace_mode,
                 stream_window_events=stream_window,
             )
             for experiment, domain, ordering, vertices, scale, seed, engine,
-            sim_engine, mem_engine, order_engine, backend, trace_mode,
-            stream_window
+            sim_engine, mem_engine, order_engine, trace_mode, stream_window
             in product(
                 self.experiments,
                 self.domains,
@@ -202,7 +195,6 @@ class ExperimentGrid:
                 self.sim_engines,
                 self.mem_engines,
                 self.order_engines,
-                self.backends,
                 self.trace_modes,
                 self.stream_windows,
             )
@@ -218,7 +210,7 @@ class ExperimentGrid:
         for key in (
             "experiments", "domains", "orderings", "vertices", "seeds",
             "cache_scales", "engines", "sim_engines", "mem_engines",
-            "order_engines", "backends", "trace_modes", "stream_windows",
+            "order_engines", "trace_modes", "stream_windows",
         ):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])

@@ -119,14 +119,7 @@ class _LevelStream:
         num_sets: int,
         ways: int,
         order: np.ndarray | None = None,
-        backend=None,
     ):
-        # Device backend for the O(n) filter stages of solve_hits (the
-        # scan/fallback stages stay host, where their chunked gathers
-        # are already bandwidth-bound); None means pure numpy.
-        self._xb = (
-            backend if backend is not None and backend.name != "numpy" else None
-        )
         self.lines = lines
         self.num_sets = num_sets
         self.ways = ways
@@ -388,29 +381,25 @@ class _LevelStream:
         prev = self.prev
         t_idx = np.nonzero(prev >= 0)[0]
         p_idx = prev[t_idx].astype(np.int64)
-        if self._xb is not None:
-            t_idx, p_idx = self._easy_stages_xp(hit, t_idx, p_idx)
+        # 1. few same-set events in the window => hit.
+        if self.sets is None:
+            gap_events = t_idx - p_idx - 1
         else:
-            # 1. few same-set events in the window => hit.
-            if self.sets is None:
-                gap_events = t_idx - p_idx - 1
-            else:
-                gap_events = (
-                    self.set_ranks[t_idx].astype(np.int64)
-                    - self.set_ranks[p_idx]
-                )
-                gap_events -= 1
-            easy_hit = gap_events < W
-            hit[t_idx[easy_hit]] = True
-            keep = ~easy_hit
-            t_idx, p_idx = t_idx[keep], p_idx[keep]
-            if t_idx.size:
-                # 2. >= W cold same-set accesses in the window => miss.
-                # t is warm, so cr[t] counts exactly the colds before
-                # it; cr[p] includes p itself when p is the first touch.
-                colds = self.cr[t_idx] - self.cr[p_idx]
-                live = colds < W
-                t_idx, p_idx = t_idx[live], p_idx[live]
+            gap_events = (
+                self.set_ranks[t_idx].astype(np.int64) - self.set_ranks[p_idx]
+            )
+            gap_events -= 1
+        easy_hit = gap_events < W
+        hit[t_idx[easy_hit]] = True
+        keep = ~easy_hit
+        t_idx, p_idx = t_idx[keep], p_idx[keep]
+        if t_idx.size:
+            # 2. >= W cold same-set accesses in the window => miss.
+            # t is warm, so cr[t] counts exactly the colds before
+            # it; cr[p] includes p itself when p is the first touch.
+            colds = self.cr[t_idx] - self.cr[p_idx]
+            live = colds < W
+            t_idx, p_idx = t_idx[live], p_idx[live]
         if t_idx.size == 0:
             return hit
         # 3. scan for the W-th fresh arrival in (prev, t).
@@ -428,33 +417,6 @@ class _LevelStream:
             )
             hit[t_idx[pending]] = d < W
         return hit
-
-    def _easy_stages_xp(
-        self, hit: np.ndarray, t_idx: np.ndarray, p_idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Device rendition of the two O(n) filter stages of
-        :meth:`solve_hits` — the same gap and cold-count arithmetic on
-        the configured backend, with one host round-trip for the two
-        boolean masks.  Returns the filtered ``(t_idx, p_idx)`` the
-        host scan stage continues with; counts are exact because the
-        filters are pure integer comparisons.
-        """
-        xb, W = self._xb, self.ways
-        t_d = xb.asarray(t_idx)
-        p_d = xb.asarray(p_idx)
-        if self.sets is None:
-            gap_events = t_d - p_d - 1
-        else:
-            ranks = xb.asarray(self.set_ranks.astype(np.int64))
-            gap_events = ranks[t_d] - ranks[p_d] - 1
-        easy_hit = gap_events < W
-        cr = xb.asarray(self.cr.astype(np.int64))
-        live = ~easy_hit & (cr[t_d] - cr[p_d] < W)
-        xb.synchronize()
-        easy_np = xb.to_numpy(easy_hit)
-        live_np = xb.to_numpy(live)
-        hit[t_idx[easy_np]] = True
-        return t_idx[live_np], p_idx[live_np]
 
     def _window_distances(
         self, lo: np.ndarray, hi: np.ndarray, p_q: np.ndarray
@@ -859,23 +821,10 @@ def _seed_state(
         cache._sets[s] = bucket  # MRU-first, matching LRUCache layout
 
 
-def _resolve_xb(backend):
-    """Map a backend name/instance to the device handle the level
-    streams use (``None`` = pure numpy, including the fallback case)."""
-    if backend is None or backend == "numpy":
-        return None
-    if isinstance(backend, str):
-        from ..backend import get_backend
-
-        backend = get_backend(backend)
-    return None if backend.name == "numpy" else backend
-
-
 def _batched_lru(
-    lines: np.ndarray, machine: MachineSpec, backend=None
+    lines: np.ndarray, machine: MachineSpec
 ) -> tuple[HierarchyStats, np.ndarray]:
     """Optimistic vectorized cascade with invalidation verification."""
-    xb = _resolve_xb(backend)
     lines = np.ascontiguousarray(np.asarray(lines, dtype=np.int64))
     n = lines.size
     if n and 0 <= int(lines.min()) and int(lines.max()) < (1 << 31):
@@ -888,9 +837,7 @@ def _batched_lru(
             levels,
         )
 
-    l1 = _LevelStream(
-        lines, machine.l1.num_sets, machine.l1.associativity, backend=xb
-    )
+    l1 = _LevelStream(lines, machine.l1.num_sets, machine.l1.associativity)
     hit1 = l1.solve_hits()
     miss1 = ~hit1
     t2 = np.nonzero(miss1)[0]  # global times of L2 accesses
@@ -899,7 +846,6 @@ def _batched_lru(
         machine.l2.num_sets,
         machine.l2.associativity,
         order=_subset_order(l1._order, miss1),
-        backend=xb,
     )
     hit2 = l2.solve_hits()
     miss2 = ~hit2
@@ -909,7 +855,6 @@ def _batched_lru(
         machine.l3.num_sets,
         machine.l3.associativity,
         order=_subset_order(l2._order, miss2),
-        backend=xb,
     )
     hit3 = l3.solve_hits()
 
@@ -971,14 +916,11 @@ def batched_levels(
     *,
     next_line_prefetch: bool = False,
     policy: str = "lru",
-    backend: str | None = None,
 ) -> tuple[HierarchyStats, np.ndarray]:
     """Per-level stats plus the served level (1..4) of every access.
 
     Falls back to the reference simulator for configurations outside the
     stack-distance model (non-LRU policies, next-line prefetch).
-    ``backend`` selects the array namespace for the cascade's filter
-    stages (:mod:`repro.backend`); counts are backend-invariant.
     """
     if policy != "lru" or next_line_prefetch:
         hierarchy = CacheHierarchy(
@@ -990,7 +932,7 @@ def batched_levels(
         for t, line in enumerate(arr.tolist()):
             levels[t] = access(line)
         return hierarchy.stats, levels
-    return _batched_lru(lines, machine, backend=backend)
+    return _batched_lru(lines, machine)
 
 
 def simulate_trace_batched(
@@ -999,7 +941,6 @@ def simulate_trace_batched(
     *,
     next_line_prefetch: bool = False,
     policy: str = "lru",
-    backend: str | None = None,
 ) -> HierarchyStats:
     """Drop-in replacement for :func:`repro.memsim.cache.simulate_trace`."""
     stats, _ = batched_levels(
@@ -1007,6 +948,5 @@ def simulate_trace_batched(
         machine,
         next_line_prefetch=next_line_prefetch,
         policy=policy,
-        backend=backend,
     )
     return stats

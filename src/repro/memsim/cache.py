@@ -20,7 +20,7 @@ import numpy as np
 
 from .. import obs
 from ..config import RunConfig, resolve_config
-from .machine import CacheSpec, MachineSpec
+from .machine import CacheSpec, MachineSpec, resolve_machine
 
 __all__ = [
     "LRUCache",
@@ -329,7 +329,7 @@ class CacheHierarchy:
 
 def simulate_trace(
     lines: np.ndarray,
-    machine: MachineSpec | str,
+    machine: MachineSpec,
     *,
     config: RunConfig | None = None,
     next_line_prefetch: bool = False,
@@ -338,19 +338,13 @@ def simulate_trace(
 ) -> HierarchyStats:
     """One-core simulation of a line-id stream on ``machine``.
 
-    ``machine`` is a :class:`MachineSpec`; a calibration-profile name
-    string is accepted through :func:`repro.memsim.machine.resolve_machine`
-    (deprecated — the machine is then calibrated to the stream's line
-    footprint).
-
     The simulator is selected by ``config.sim_engine``:
     ``config=RunConfig(sim_engine="batched")`` routes through the
     vectorized stack-distance engine in :mod:`repro.memsim.batched`; it
     produces bit-identical per-level counts (falling back to this
     reference internally where the cascade cannot stay exact).  The
     bare ``sim_engine=`` keyword is a deprecated shim for the same
-    selection.  ``config.backend`` picks the array namespace of the
-    batched engine's filter stages (counts are backend-invariant).
+    selection.
 
     ``config.stream_window_events`` additionally bounds peak memory: the
     stream is replayed through the selected engine in windows of that
@@ -358,22 +352,13 @@ def simulate_trace(
     still with bit-identical counts.
     """
     config = resolve_config(config, sim_engine=sim_engine)
-    if not isinstance(machine, MachineSpec):
-        from .machine import profile_line_size, resolve_machine
-
-        footprint = None
-        if isinstance(machine, str):
-            arr = np.asarray(lines)
-            lsz = profile_line_size(machine)
-            footprint = (int(arr.max()) + 1) * lsz if arr.size else lsz
-        machine = resolve_machine(machine, footprint_bytes=footprint)
+    machine = resolve_machine(machine)
     engine = config.sim_engine
     window = config.stream_window_events
     with obs.span(
         "memsim.simulate_trace",
         engine=engine,
         machine=machine.name,
-        backend=config.backend,
     ) as sp:
         sp.add_event(int(np.asarray(lines).size))
         if engine not in ("reference", "batched"):
@@ -403,7 +388,6 @@ def simulate_trace(
                 machine,
                 next_line_prefetch=next_line_prefetch,
                 policy=policy,
-                backend=config.backend,
             )
         else:
             stats = CacheHierarchy(

@@ -19,7 +19,6 @@ every effect the paper reports.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -230,48 +229,24 @@ def calibrated_machine(
     )
 
 
-def resolve_machine(
-    machine: MachineSpec | str | None,
-    *,
-    footprint_bytes: int | None = None,
-    stacklevel: int = 3,
-) -> MachineSpec | None:
-    """Accept both ``machine=MachineSpec`` and the legacy profile-name
-    string form, mirroring :func:`repro.config.resolve_config`.
+def resolve_machine(machine: MachineSpec | None) -> MachineSpec | None:
+    """Pass a :class:`MachineSpec` (or ``None``) through; refuse the rest.
 
-    A :class:`MachineSpec` (or ``None``) passes straight through.  A
-    string is treated as a calibration profile name: it emits a
-    :class:`DeprecationWarning` attributed ``stacklevel`` frames up
-    (the modern spelling is ``RunConfig(machine_profile=...)`` or an
-    explicit :func:`calibrated_machine`), validates against
-    :data:`repro.config.MACHINE_PROFILES`, and is calibrated to
-    ``footprint_bytes`` — which the resolving API must supply from its
-    workload (trace footprint, mesh layout size).
+    A calibration-profile name string is refused too: the machine is
+    ``calibrated_machine(footprint, profile=...)`` or the
+    ``RunConfig(machine_profile=...)`` default of the pipeline APIs.
     """
     if machine is None or isinstance(machine, MachineSpec):
         return machine
-    if not isinstance(machine, str):
+    if isinstance(machine, str):
         raise TypeError(
-            "machine must be a MachineSpec or a profile name, got "
-            f"{type(machine).__name__}"
+            f"machine={machine!r}: profile-name strings are not accepted; "
+            f"pass calibrated_machine(footprint, profile={machine!r}) or set "
+            "RunConfig(machine_profile=...)"
         )
-    from ..config import MACHINE_PROFILES, UnknownNameError
-
-    warnings.warn(
-        f"passing machine={machine!r} as a profile-name string is "
-        "deprecated; pass a MachineSpec (e.g. calibrated_machine(footprint, "
-        f"profile={machine!r})) or set RunConfig(machine_profile=...)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
+    raise TypeError(
+        f"machine must be a MachineSpec, got {type(machine).__name__}"
     )
-    if machine not in MACHINE_PROFILES:
-        raise UnknownNameError("machine profile", machine, MACHINE_PROFILES)
-    if footprint_bytes is None:
-        raise TypeError(
-            "resolving a profile-name machine requires a workload "
-            "footprint; this API cannot infer one"
-        )
-    return calibrated_machine(int(footprint_bytes), profile=machine)
 
 
 def tiny_machine() -> MachineSpec:

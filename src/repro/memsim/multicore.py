@@ -39,7 +39,7 @@ from .cache import (
     LRUCache,
     observe_hierarchy_stats,
 )
-from .machine import MachineSpec
+from .machine import MachineSpec, resolve_machine
 from .timing import CostBreakdown, modeled_time
 
 __all__ = [
@@ -130,7 +130,6 @@ def simulate_socket(
     quantum: int = 64,
     sim_engine: str = "reference",
     stream_window_events: int | None = None,
-    backend: str | None = None,
 ) -> list[CoreResult]:
     """Simulate one socket: its cores' streams against one shared L3.
 
@@ -168,7 +167,6 @@ def simulate_socket(
             quantum,
             sim_engine,
             stream_window_events,
-            backend,
         )
         for cr in results:
             observe_hierarchy_stats(cr.stats)
@@ -183,7 +181,6 @@ def _simulate_socket_impl(
     quantum: int,
     sim_engine: str,
     stream_window_events: int | None = None,
-    backend: str | None = None,
 ) -> list[CoreResult]:
     if len(member_cores) == 1 and (
         sim_engine == "batched" or stream_window_events is not None
@@ -203,7 +200,7 @@ def _simulate_socket_impl(
         else:
             from .batched import batched_levels
 
-            stats, _ = batched_levels(streams[0], machine, backend=backend)
+            stats, _ = batched_levels(streams[0], machine)
         return [
             CoreResult(
                 core=int(member_cores[0]),
@@ -257,7 +254,7 @@ def _simulate_socket_impl(
 
 def simulate_multicore(
     lines_per_core: list[np.ndarray],
-    machine: MachineSpec | str,
+    machine: MachineSpec,
     *,
     config: RunConfig | None = None,
     affinity: str = "compact",
@@ -280,9 +277,7 @@ def simulate_multicore(
         and ``config.sim_engine`` the per-socket simulator
         (``"reference"`` or ``"batched"``; the batched engine vectorizes
         single-core sockets exactly and composes with either replay
-        engine).  ``config.backend`` applies to the sequential replay's
-        batched sockets; sharded worker processes always run numpy
-        (device contexts do not fork), with identical counts.
+        engine).
     affinity:
         ``"compact"`` or ``"scatter"`` (see module docstring).
     quantum:
@@ -296,28 +291,12 @@ def simulate_multicore(
         Worker-process cap for the sharded engine (ignored otherwise).
     """
     config = resolve_config(config, mem_engine=engine, sim_engine=sim_engine)
-    if not isinstance(machine, MachineSpec):
-        from .machine import profile_line_size, resolve_machine
-
-        footprint = None
-        if isinstance(machine, str):
-            lsz = profile_line_size(machine)
-            hi = max(
-                (
-                    int(np.asarray(s).max())
-                    for s in lines_per_core
-                    if np.asarray(s).size
-                ),
-                default=0,
-            )
-            footprint = (hi + 1) * lsz
-        machine = resolve_machine(machine, footprint_bytes=footprint)
+    machine = resolve_machine(machine)
     mem_engine = config.mem_engine
     with obs.span(
         "memsim.multicore",
         mem_engine=mem_engine,
         sim_engine=config.sim_engine,
-        backend=config.backend,
         affinity=affinity,
         cores=len(lines_per_core),
     ):
@@ -351,7 +330,6 @@ def simulate_multicore(
                 quantum=quantum,
                 sim_engine=config.sim_engine,
                 stream_window_events=config.stream_window_events,
-                backend=config.backend,
             ):
                 results[cr.core] = cr
         return MulticoreResult(

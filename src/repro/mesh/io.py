@@ -19,16 +19,23 @@ Triangle format reference (plain text, ``#`` comments allowed):
     <id> <v1> <v2> <v3> [attrs...]
 
 Vertex ids may start at 0 or 1; we detect and normalise to 0-based.
+
+The readers refuse a malformed file (bad header, counts that do not
+match the data lines, unparsable or missing fields, out-of-range vertex
+ids) or a non-finite coordinate with :class:`MeshValidationError`,
+naming the file.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .trimesh import TriMesh
+from .validate import MeshValidationError, nonfinite_vertices
 
 __all__ = [
     "write_triangle",
@@ -38,6 +45,38 @@ __all__ = [
     "write_off",
     "read_off",
 ]
+
+
+@contextmanager
+def _parsing(path: Path):
+    """Re-raise any parse failure while reading ``path`` as a
+    :class:`MeshValidationError` naming the file."""
+    try:
+        yield
+    except MeshValidationError:
+        raise
+    except (ValueError, IndexError, KeyError, TypeError) as exc:
+        raise MeshValidationError(f"{path}: malformed mesh file: {exc}") from exc
+
+
+def _array(rows, dtype, width: int) -> np.ndarray:
+    """``rows`` as an ``(n, width)`` array (``(0, width)`` when empty)."""
+    arr = np.array(rows, dtype=dtype)
+    return arr.reshape(0, width) if arr.size == 0 else arr
+
+
+def _finite(path: Path, coords) -> np.ndarray:
+    """``coords`` as an ``(n, 2)`` float array, refusing non-finite ones."""
+    coords = _array(coords, np.float64, 2)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise MeshValidationError(f"{path}: vertices must have shape (n, 2)")
+    bad = nonfinite_vertices(coords)
+    if bad.size:
+        raise MeshValidationError(
+            f"{path}: {bad.size} vertices have non-finite coordinates "
+            f"(first: vertex {bad[0]} at {coords[bad[0]].tolist()})"
+        )
+    return coords
 
 
 def _data_lines(path: Path) -> list[list[str]]:
@@ -73,39 +112,50 @@ def write_triangle(mesh: TriMesh, stem: str | Path) -> tuple[Path, Path]:
 def read_triangle(stem: str | Path, name: str = "") -> TriMesh:
     """Read a ``.node``/``.ele`` pair written by Triangle or by us."""
     stem = Path(stem)
-    node_lines = _data_lines(stem.with_suffix(".node"))
-    ele_lines = _data_lines(stem.with_suffix(".ele"))
+    node_path, ele_path = stem.with_suffix(".node"), stem.with_suffix(".ele")
+    node_lines = _data_lines(node_path)
+    ele_lines = _data_lines(ele_path)
     if not node_lines or not ele_lines:
-        raise ValueError(f"empty Triangle files at {stem}")
+        raise MeshValidationError(f"empty Triangle files at {stem}")
 
-    n_vertices = int(node_lines[0][0])
-    dim = int(node_lines[0][1])
-    if dim != 2:
-        raise ValueError("only 2-D .node files are supported")
-    body = node_lines[1 : 1 + n_vertices]
-    if len(body) != n_vertices:
-        raise ValueError(".node header count does not match data lines")
-    ids = np.array([int(row[0]) for row in body], dtype=np.int64)
-    coords = np.array([[float(row[1]), float(row[2])] for row in body])
-    base = int(ids.min()) if n_vertices else 0
-    if base not in (0, 1):
-        raise ValueError("vertex ids must be 0- or 1-based")
-    order = np.argsort(ids, kind="stable")
-    coords = coords[order]
+    with _parsing(node_path):
+        n_vertices = int(node_lines[0][0])
+        if int(node_lines[0][1]) != 2:
+            raise MeshValidationError(
+                f"{node_path}: only 2-D .node files are supported"
+            )
+        body = node_lines[1:]
+        if len(body) != n_vertices:
+            raise MeshValidationError(
+                f"{node_path}: header count {n_vertices} does not match "
+                f"{len(body)} data lines"
+            )
+        ids = np.array([int(row[0]) for row in body], dtype=np.int64)
+        coords = np.array([[float(row[1]), float(row[2])] for row in body])
+        base = int(ids.min()) if n_vertices else 0
+        if base not in (0, 1):
+            raise MeshValidationError(
+                f"{node_path}: vertex ids must be 0- or 1-based"
+            )
+        coords = _finite(node_path, coords[np.argsort(ids, kind="stable")])
 
-    n_tris = int(ele_lines[0][0])
-    nodes_per = int(ele_lines[0][1])
-    if nodes_per != 3:
-        raise ValueError("only 3-node triangles are supported")
-    tri_body = ele_lines[1 : 1 + n_tris]
-    if len(tri_body) != n_tris:
-        raise ValueError(".ele header count does not match data lines")
-    tris = np.array(
-        [[int(row[1]), int(row[2]), int(row[3])] for row in tri_body],
-        dtype=np.int64,
-    )
-    tris -= base
-    return TriMesh(coords, tris, name=name or stem.name)
+    with _parsing(ele_path):
+        n_tris = int(ele_lines[0][0])
+        if int(ele_lines[0][1]) != 3:
+            raise MeshValidationError(
+                f"{ele_path}: only 3-node triangles are supported"
+            )
+        tri_body = ele_lines[1:]
+        if len(tri_body) != n_tris:
+            raise MeshValidationError(
+                f"{ele_path}: header count {n_tris} does not match "
+                f"{len(tri_body)} data lines"
+            )
+        tris = _array(
+            [[int(row[1]), int(row[2]), int(row[3])] for row in tri_body],
+            np.int64, 3,
+        )
+        return TriMesh(coords, tris - base, name=name or stem.name)
 
 
 def write_off(mesh: TriMesh, path: str | Path) -> Path:
@@ -130,22 +180,25 @@ def read_off(path: str | Path, name: str = "") -> TriMesh:
     path = Path(path)
     lines = _data_lines(path)
     if not lines or lines[0][0].upper() != "OFF":
-        raise ValueError(f"{path} is not an OFF file")
-    nv, nf = int(lines[1][0]), int(lines[1][1])
-    body = lines[2:]
-    if len(body) < nv + nf:
-        raise ValueError("OFF header counts do not match data lines")
-    coords = np.array(
-        [[float(row[0]), float(row[1])] for row in body[:nv]], dtype=np.float64
-    )
-    tris = []
-    for row in body[nv : nv + nf]:
-        if int(row[0]) != 3:
-            raise ValueError("only triangular OFF faces are supported")
-        tris.append([int(row[1]), int(row[2]), int(row[3])])
-    return TriMesh(
-        coords, np.asarray(tris, dtype=np.int64), name=name or path.stem
-    )
+        raise MeshValidationError(f"{path} is not an OFF file")
+    with _parsing(path):
+        nv, nf = int(lines[1][0]), int(lines[1][1])
+        body = lines[2:]
+        if len(body) < nv + nf:
+            raise MeshValidationError(
+                f"{path}: OFF header counts do not match data lines"
+            )
+        coords = _finite(
+            path, [[float(row[0]), float(row[1])] for row in body[:nv]]
+        )
+        tris = []
+        for row in body[nv : nv + nf]:
+            if int(row[0]) != 3:
+                raise MeshValidationError(
+                    f"{path}: only triangular OFF faces are supported"
+                )
+            tris.append([int(row[1]), int(row[2]), int(row[3])])
+        return TriMesh(coords, _array(tris, np.int64, 3), name=name or path.stem)
 
 
 def write_json(mesh: TriMesh, path: str | Path) -> Path:
@@ -162,9 +215,12 @@ def write_json(mesh: TriMesh, path: str | Path) -> Path:
 
 def read_json(path: str | Path) -> TriMesh:
     """Read a mesh written by :func:`write_json`."""
-    payload = json.loads(Path(path).read_text())
-    return TriMesh(
-        np.asarray(payload["vertices"], dtype=np.float64),
-        np.asarray(payload["triangles"], dtype=np.int64),
-        name=payload.get("name", ""),
-    )
+    path = Path(path)
+    text = path.read_text()
+    with _parsing(path):
+        payload = json.loads(text)
+        return TriMesh(
+            _finite(path, payload["vertices"]),
+            _array(payload["triangles"], np.int64, 3),
+            name=payload.get("name", ""),
+        )

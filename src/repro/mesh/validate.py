@@ -17,7 +17,13 @@ __all__ = ["MeshValidationError", "validate_mesh", "mesh_issues"]
 
 
 class MeshValidationError(ValueError):
-    """Raised when a mesh violates a structural invariant."""
+    """Raised when a mesh violates a structural invariant or a mesh file
+    is malformed."""
+
+
+def nonfinite_vertices(vertices: np.ndarray) -> np.ndarray:
+    """Indices of the vertices with a NaN or infinite coordinate."""
+    return np.flatnonzero(~np.isfinite(vertices).all(axis=1))
 
 
 def mesh_issues(
@@ -30,6 +36,7 @@ def mesh_issues(
 
     Checks performed:
 
+    * every vertex coordinate finite;
     * triangle vertex indices in range and pairwise distinct;
     * no duplicated triangles (up to rotation);
     * triangle areas strictly above ``min_area`` in magnitude
@@ -42,6 +49,11 @@ def mesh_issues(
     """
     issues: list[str] = []
     tri = mesh.triangles
+
+    for v in nonfinite_vertices(mesh.vertices)[:5]:
+        issues.append(
+            f"vertex {v} has non-finite coordinates {mesh.vertices[v].tolist()}"
+        )
 
     if tri.size:
         same = (tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]) | (

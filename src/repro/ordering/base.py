@@ -134,38 +134,11 @@ def apply_ordering(
     seed: int = 0,
     qualities: np.ndarray | None = None,
     order_engine: str = "reference",
-    backend: str = "numpy",
 ) -> tuple[TriMesh, np.ndarray]:
-    """Compute an ordering and return ``(permuted_mesh, order)``.
-
-    ``backend`` names the array namespace (:mod:`repro.backend`) and is
-    forwarded to ordering implementations that accept it (the batched
-    frontier traversals); the rest run their usual numpy code —
-    permutations are backend-invariant either way.
-    """
+    """Compute an ordering and return ``(permuted_mesh, order)``."""
     fn = get_ordering(name, order_engine=order_engine)
-    kwargs = {}
-    if backend != "numpy" and _accepts_backend(fn):
-        kwargs["backend"] = backend
-    order = fn(mesh, seed=seed, qualities=qualities, **kwargs)
+    order = fn(mesh, seed=seed, qualities=qualities)
     return mesh.permute(order), order
-
-
-def _accepts_backend(fn) -> bool:
-    """Whether an ordering function takes the ``backend`` keyword."""
-    cached = getattr(fn, "_accepts_backend", None)
-    if cached is None:
-        import inspect
-
-        try:
-            cached = "backend" in inspect.signature(fn).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            cached = False
-        try:
-            fn._accepts_backend = cached
-        except AttributeError:  # pragma: no cover - slotted callables
-            pass
-    return cached
 
 
 def invert_permutation(order: np.ndarray) -> np.ndarray:

@@ -312,89 +312,6 @@ def frontier_bfs(
     return order
 
 
-def _device_backend(backend):
-    """Map a backend name/instance to a device handle (``None`` = run
-    the tuned numpy frontier loop, including the fallback case)."""
-    if backend is None or backend == "numpy":
-        return None
-    if isinstance(backend, str):
-        from ..backend import get_backend
-
-        backend = get_backend(backend)
-    return None if backend.name == "numpy" else backend
-
-
-def _frontier_bfs_xp(
-    plan: FrontierPlan, backend, start: int, *, by_degree: bool = False
-) -> np.ndarray:
-    """Device rendition of :func:`frontier_bfs` (:mod:`repro.backend`).
-
-    The stamp trick's reversed fancy-index write is not deterministic
-    on parallel scatter backends, so first-occurrence dedup is done
-    with an explicit ``scatter_min`` of ascending stream ids instead
-    (the minimum id *is* the earliest occurrence), and RCM's lexsort
-    becomes two stable argsorts (radix composition: degree, then
-    parent).  Claim order — and hence the permutation — is identical
-    to the numpy path, pinned element-wise by the differential suite.
-    """
-    xb = backend
-    n = plan.n
-    dmax = max(plan.dmax, 1)
-    cache = getattr(plan, "_device_arrays", None)
-    if cache is None:
-        cache = {}
-        plan._device_arrays = cache
-    if xb.name not in cache:
-        cache[xb.name] = (xb.asarray(plan.padded), xb.asarray(plan.degrees))
-    padded, degrees = cache[xb.name]
-    unfilled = n * dmax + 2  # exceeds every per-level stream id
-    unvis = xb.full(n + 1, True, xb.bool_)
-    unvis[n] = False
-    stamp = xb.full(n + 1, unfilled, xb.int64)
-    order = xb.zeros(n, xb.int64)
-    widths: list[int] | None = [] if obs.is_enabled() else None
-    pos = 0
-    s = int(start)
-    while True:
-        order[pos] = s
-        unvis[s] = False
-        lo = pos
-        pos += 1
-        while lo < pos:
-            frontier = order[lo:pos]
-            lo = pos
-            cand = padded[frontier].reshape(-1)
-            keep_unvis = unvis[cand]
-            cu = cand[keep_unvis]
-            k = int(cu.shape[0])
-            if k == 0:
-                continue
-            ids = xb.arange(k)
-            stamp[cu] = unfilled
-            xb.scatter_min(stamp, cu, ids)
-            keep = stamp[cu] == ids
-            fresh = cu[keep]
-            if by_degree and int(fresh.shape[0]) > 1:
-                upos = xb.flatnonzero(keep_unvis)
-                parent = upos[keep] // dmax
-                o1 = xb.argsort(degrees[fresh], stable=True)
-                o2 = xb.argsort(parent[o1], stable=True)
-                fresh = fresh[o1[o2]]
-            unvis[fresh] = False
-            fk = int(fresh.shape[0])
-            if widths is not None and fk:
-                widths.append(fk)
-            order[pos : pos + fk] = fresh
-            pos += fk
-        if pos == n:
-            break
-        s = int(xb.to_numpy(xb.flatnonzero(unvis[:n])[:1])[0])
-    if widths:
-        obs.observe("ordering.frontier_width", np.asarray(widths))
-    xb.synchronize()
-    return xb.to_numpy(order)
-
-
 def frontier_component(
     plan: FrontierPlan, start: int
 ) -> tuple[np.ndarray, int]:
@@ -474,45 +391,31 @@ def frontier_pseudo_peripheral(plan: FrontierPlan, start: int) -> int:
 
 @register_batched_ordering("bfs")
 def batched_bfs_ordering(
-    mesh: TriMesh, *, seed: int = 0, qualities=None, backend=None
+    mesh: TriMesh, *, seed: int = 0, qualities=None
 ) -> np.ndarray:
     """Frontier-at-a-time BFS; identical to the reference ``bfs``."""
     n = mesh.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    plan = frontier_plan(mesh.adjacency)
-    xb = _device_backend(backend)
-    if xb is not None:
-        return _frontier_bfs_xp(plan, xb, int(seed) % n)
-    return frontier_bfs(plan, int(seed) % n)
+    return frontier_bfs(frontier_plan(mesh.adjacency), int(seed) % n)
 
 
 @register_batched_ordering("rbfs")
 def batched_reverse_bfs_ordering(
-    mesh: TriMesh, *, seed: int = 0, qualities=None, backend=None
+    mesh: TriMesh, *, seed: int = 0, qualities=None
 ) -> np.ndarray:
     """Frontier BFS reversed; identical to the reference ``rbfs``."""
-    return batched_bfs_ordering(
-        mesh, seed=seed, qualities=qualities, backend=backend
-    )[::-1].copy()
+    return batched_bfs_ordering(mesh, seed=seed, qualities=qualities)[::-1].copy()
 
 
 @register_batched_ordering("rcm")
 def batched_rcm_ordering(
-    mesh: TriMesh, *, seed: int = 0, qualities=None, backend=None
+    mesh: TriMesh, *, seed: int = 0, qualities=None
 ) -> np.ndarray:
-    """Frontier-at-a-time RCM; identical to the reference ``rcm``.
-
-    The George-Liu pseudo-peripheral start sweep stays on host (it is a
-    handful of short component BFSes); only the full by-degree sweep
-    runs on the configured backend.
-    """
+    """Frontier-at-a-time RCM; identical to the reference ``rcm``."""
     n = mesh.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.int64)
     plan = frontier_plan(mesh.adjacency)
     start = frontier_pseudo_peripheral(plan, int(seed) % n)
-    xb = _device_backend(backend)
-    if xb is not None:
-        return _frontier_bfs_xp(plan, xb, start, by_degree=True)[::-1].copy()
     return frontier_bfs(plan, start, by_degree=True)[::-1].copy()

@@ -235,7 +235,6 @@ class LaplacianSmoother:
             "smooth.run",
             mesh=mesh.name,
             engine=self.engine,
-            backend=self.config.backend,
             traversal=self.traversal,
             update=self.update,
         ) as sp:
@@ -348,13 +347,7 @@ class LaplacianSmoother:
                         obs.observe(
                             "smoothing.wavefront_width", np.diff(offsets)
                         )
-                        wf_plan = WavefrontPlan(
-                            xadj,
-                            adjncy,
-                            batched,
-                            offsets,
-                            backend=self.config.backend,
-                        )
+                        wf_plan = WavefrontPlan(xadj, adjncy, batched, offsets)
                     wf_plan.execute(coords, cull_tol=cull_tol, moved=moved)
                 else:
                     for v in seq.tolist():

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import ArrayBackend, get_backend
-
 __all__ = ["csr_segment_mean", "smooth_wavefronts", "WavefrontPlan"]
 
 
@@ -70,14 +68,6 @@ class WavefrontPlan:
     that does not depend on coordinate values. :meth:`execute` then
     performs one Gauss-Seidel sweep with three array operations per
     level.
-
-    The plan is backend-aware (:mod:`repro.backend`): level arrays are
-    moved into the backend's memory space once at build time, and each
-    :meth:`execute` makes a single host round-trip per sweep (coords in,
-    coords out) so trace construction and convergence checks stay on
-    host.  Under the default numpy backend both transfers are zero-copy
-    and the sweep runs the identical op stream the direct-numpy engine
-    ran (parity gated < 10% in ``benchmarks/test_backend_parity.py``).
     """
 
     def __init__(
@@ -86,13 +76,7 @@ class WavefrontPlan:
         adjncy: np.ndarray,
         batched: np.ndarray,
         offsets: np.ndarray,
-        *,
-        backend: ArrayBackend | str | None = None,
     ):
-        if backend is None or isinstance(backend, str):
-            backend = get_backend(backend or "numpy")
-        self.backend = backend
-        xb = backend
         self.levels: list[tuple] = []
         for k in range(offsets.size - 1):
             level = batched[offsets[k] : offsets[k + 1]]
@@ -109,10 +93,10 @@ class WavefrontPlan:
             nbrs = adjncy[np.repeat(starts, deg) + offs]
             self.levels.append(
                 (
-                    xb.asarray(np.ascontiguousarray(level, dtype=np.int64)),
-                    xb.asarray(np.ascontiguousarray(nbrs, dtype=np.int64)),
-                    xb.asarray(row_ends - deg),
-                    xb.asarray(deg[:, None].astype(np.float64)),
+                    np.ascontiguousarray(level, dtype=np.int64),
+                    np.ascontiguousarray(nbrs, dtype=np.int64),
+                    row_ends - deg,
+                    deg[:, None].astype(np.float64),
                 )
             )
 
@@ -129,18 +113,13 @@ class WavefrontPlan:
         displacement exceeds ``cull_tol`` are flagged, mirroring the
         reference engine's test.
         """
-        xb = self.backend
-        dev = xb.asarray(coords)
         for level, nbrs, row_starts, divisor in self.levels:
-            sums = xb.reduceat(dev[nbrs], row_starts)
+            sums = np.add.reduceat(coords[nbrs], row_starts, axis=0)
             centroids = sums / divisor
             if moved is not None:
-                shift = abs(centroids - dev[level]).sum(axis=1)
-                moved[xb.to_numpy(level[shift > cull_tol])] = True
-            dev[level] = centroids
-        out = xb.to_numpy(dev)
-        if out is not coords:
-            coords[:] = out
+                shift = np.abs(centroids - coords[level]).sum(axis=1)
+                moved[level[shift > cull_tol]] = True
+            coords[level] = centroids
 
 
 def smooth_wavefronts(
@@ -152,13 +131,12 @@ def smooth_wavefronts(
     *,
     cull_tol: float | None = None,
     moved: np.ndarray | None = None,
-    backend: ArrayBackend | str | None = None,
 ) -> None:
     """One-shot convenience wrapper: build a plan and execute it once.
 
     Callers that iterate should build the :class:`WavefrontPlan` once
     and call :meth:`WavefrontPlan.execute` per iteration.
     """
-    WavefrontPlan(xadj, adjncy, batched, offsets, backend=backend).execute(
+    WavefrontPlan(xadj, adjncy, batched, offsets).execute(
         coords, cull_tol=cull_tol, moved=moved
     )

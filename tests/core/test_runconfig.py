@@ -21,7 +21,7 @@ from repro.config import (
     resolve_config,
 )
 from repro.core import run_ordering, run_summary
-from repro.lab.grid import JobSpec
+from repro.lab.grid import ExperimentGrid, JobSpec
 from repro.memsim import (
     MemoryLayout,
     simulate_multicore,
@@ -97,6 +97,9 @@ class TestRunConfig:
 
     def test_engine_axes_cover_every_axis(self):
         axes = engine_axes()
+        assert list(axes) == [
+            "engine", "sim_engine", "mem_engine", "order_engine", "trace_mode"
+        ]
         assert axes["engine"] == ("reference", "vectorized")
         assert axes["sim_engine"] == ("reference", "batched")
         assert axes["mem_engine"] == ("sequential", "sharded")
@@ -229,6 +232,36 @@ class TestCliRoundTrip:
         assert args.mem_engines == ("sequential",)
         assert args.order_engines == ("reference",)
         assert args.seeds == (0, 1, 2)
+
+
+# Configs saved before the array-backend axis was removed carry a
+# "backend" ("backends" for a grid) key; loading ignores it.
+SAVED_WITH_BACKEND = [
+    (RunConfig, {"engine": "vectorized", "backend": "cupy", "seed": 2}),
+    (
+        JobSpec,
+        {"experiment": "pipeline", "domain": "ocean", "ordering": "rdr",
+         "sim_engine": "batched", "backend": "torch"},
+    ),
+    (
+        ExperimentGrid,
+        {"domains": ["ocean"], "orderings": ["ori", "rdr"],
+         "backends": ["numpy", "torch"], "seeds": [0, 1]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, saved", SAVED_WITH_BACKEND,
+    ids=[cls.__name__ for cls, _ in SAVED_WITH_BACKEND],
+)
+def test_saved_backend_key_is_ignored(cls, saved):
+    loaded = cls.from_dict(saved)
+    expected = cls.from_dict(
+        {k: v for k, v in saved.items() if k not in ("backend", "backends")}
+    )
+    assert loaded == expected
+    assert not hasattr(loaded, "backend") and not hasattr(loaded, "backends")
 
 
 class TestSpecRoundTrips:

@@ -119,27 +119,29 @@ class TestResolveMachine:
         assert resolve_machine(m) is m
         assert resolve_machine(None) is None
 
-    def test_string_profile_warns_and_calibrates(self):
+    def test_string_profile_is_type_error(self):
         from repro.memsim import resolve_machine
 
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            m = resolve_machine("serial", footprint_bytes=1_000_000)
-        assert m.l3.size_bytes >= 1_000_000
+        with pytest.raises(TypeError, match="calibrated_machine.*machine_profile"):
+            resolve_machine("serial")
 
     def test_unknown_profile_raises_unknown_name(self):
-        from repro.config import UnknownNameError
+        from repro.config import RunConfig, UnknownNameError
         from repro.memsim import resolve_machine
 
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(UnknownNameError, match="warp"):
-                resolve_machine("warp", footprint_bytes=1000)
+        # resolve_machine refuses any string before a name lookup; profile
+        # names are resolved (and unknown ones rejected) by RunConfig.
+        with pytest.raises(TypeError, match="calibrated_machine"):
+            resolve_machine("warp")
+        with pytest.raises(UnknownNameError, match="warp"):
+            RunConfig(machine_profile="warp").validate()
 
     def test_string_without_footprint_is_type_error(self):
         from repro.memsim import resolve_machine
 
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="footprint"):
-                resolve_machine("serial")
+        # The message points at the call that supplies the footprint.
+        with pytest.raises(TypeError, match=r"calibrated_machine\(footprint"):
+            resolve_machine("serial")
 
     def test_non_machine_non_string_is_type_error(self):
         from repro.memsim import resolve_machine
@@ -147,12 +149,11 @@ class TestResolveMachine:
         with pytest.raises(TypeError, match="MachineSpec"):
             resolve_machine(42)
 
-    def test_simulate_trace_accepts_profile_string(self):
+    def test_simulate_trace_rejects_profile_string(self):
         import numpy as np
 
         from repro.memsim import simulate_trace
 
         lines = np.arange(32, dtype=np.int64)
-        with pytest.warns(DeprecationWarning):
-            stats = simulate_trace(lines, "serial")
-        assert stats.l1.accesses == 32
+        with pytest.raises(TypeError, match="calibrated_machine"):
+            simulate_trace(lines, "serial")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import (
+    MeshValidationError,
     TriMesh,
     read_json,
     read_triangle,
@@ -65,6 +66,31 @@ class TestTriangleFormat:
         with pytest.raises(ValueError, match="count"):
             read_triangle(tmp_path / "bad")
 
+    @pytest.mark.parametrize(
+        "node, ele, match",
+        [
+            ("2 2 0 0\n0 0 0\n1 1 0\n2 0 1\n", "1 3 0\n0 0 1 2\n", "count"),
+            ("3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n", "2 3 0\n0 0 1 2\n", "count"),
+            ("3 2 0 0\n0 0 0\n1 1 zero\n2 0 1\n", "1 3 0\n0 0 1 2\n",
+             "malformed"),
+            ("3 2 0 0\n0 0 0\n1 1\n2 0 1\n", "1 3 0\n0 0 1 2\n", "malformed"),
+            ("3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n", "1 3 0\n0 0 1 7\n", "range"),
+            ("3 2 0 0\n0 0 0\n1 inf 0\n2 0 1\n", "1 3 0\n0 0 1 2\n",
+             "non-finite"),
+            ("3 2 0 0\n0 0 0\n1 1 0\n2 nan 1\n", "1 3 0\n0 0 1 2\n",
+             "non-finite"),
+        ],
+        ids=["extra-node-lines", "short-ele", "bad-float", "missing-column",
+             "index-out-of-range", "inf", "nan"],
+    )
+    def test_malformed_files_raise_validation_error(
+        self, tmp_path, node, ele, match
+    ):
+        (tmp_path / "x.node").write_text(node)
+        (tmp_path / "x.ele").write_text(ele)
+        with pytest.raises(MeshValidationError, match=match):
+            read_triangle(tmp_path / "x")
+
     def test_name_defaults_to_stem(self, tiny_mesh, tmp_path):
         write_triangle(tiny_mesh, tmp_path / "stemname")
         back = read_triangle(tmp_path / "stemname")
@@ -86,3 +112,19 @@ class TestJsonFormat:
         )
         back = read_json(write_json(mesh, tmp_path / "f.json"))
         assert np.array_equal(back.vertices, mesh.vertices)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"vertices": [[0, 0], [1, NaN]], "triangles": []}', "non-finite"),
+            ('{"vertices": [[0, 0, 0]], "triangles": []}', "shape"),
+            ('{"triangles": []}', "malformed"),
+            ("not json", "malformed"),
+        ],
+        ids=["nan", "3-d", "missing-key", "not-json"],
+    )
+    def test_malformed_json_raises_validation_error(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(MeshValidationError, match=match):
+            read_json(path)

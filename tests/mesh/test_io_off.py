@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh import read_off, write_off
+from repro.mesh import MeshValidationError, read_off, write_off
 
 
 class TestOffFormat:
@@ -37,6 +37,12 @@ class TestOffFormat:
         p = tmp_path / "t.off"
         p.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n")
         with pytest.raises(ValueError, match="counts"):
+            read_off(p)
+
+    def test_rejects_non_finite_coordinates(self, tmp_path):
+        p = tmp_path / "n.off"
+        p.write_text("OFF\n3 1 0\n0 0 0\n1 -inf 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(MeshValidationError, match="non-finite"):
             read_off(p)
 
     def test_comments_allowed(self, tmp_path):

@@ -17,6 +17,13 @@ def test_repeated_vertex_in_triangle_detected():
     assert any("repeated" in msg for msg in issues)
 
 
+def test_non_finite_coordinates_detected():
+    mesh = TriMesh(
+        np.array([[0, 0], [1, np.nan], [0, 1.0]]), np.array([[0, 1, 2]])
+    )
+    assert any("vertex 1 has non-finite" in msg for msg in mesh_issues(mesh))
+
+
 def test_duplicate_triangle_detected():
     mesh = TriMesh(
         np.array([[0, 0], [1, 0], [0, 1.0], [1.0, 1.0]]),

@@ -17,7 +17,6 @@ import repro
 PACKAGES = [
     "repro",
     "repro.apps",
-    "repro.backend",
     "repro.bench",
     "repro.core",
     "repro.lab",
@@ -92,7 +91,7 @@ def test_version_present():
 SIGNATURE_SNAPSHOT = {
     "repro.core.pipeline.run_ordering": (
         "(mesh: 'TriMesh', ordering: 'str', *, config: 'RunConfig | None' = "
-        "None, machine: 'MachineSpec | str | None' = None, traversal: 'str' ="
+        "None, machine: 'MachineSpec | None' = None, traversal: 'str' ="
         " 'greedy', max_iterations: 'int' = 50, fixed_iterations: 'int | None'"
         " = None, qualities: 'np.ndarray | None' = None, seed: 'int | None' ="
         " None, rank_passes_override: 'int | None' = None, smoother_kwargs: "
@@ -103,7 +102,7 @@ SIGNATURE_SNAPSHOT = {
     ),
     "repro.core.pipeline.run_parallel_ordering": (
         "(mesh: 'TriMesh', ordering: 'str', num_cores: 'int', *, config: "
-        "'RunConfig | None' = None, machine: 'MachineSpec | str | None' = "
+        "'RunConfig | None' = None, machine: 'MachineSpec | None' = "
         "None, iterations: 'int' = 8, traversal: 'str' = 'greedy', affinity:"
         " 'str' = 'scatter', qualities: 'np.ndarray | None' = None, seed: "
         "'int | None' = None, mem_engine: 'str | None' = None, sim_engine: "
@@ -120,30 +119,25 @@ SIGNATURE_SNAPSHOT = {
         "-> 'SmoothingResult'"
     ),
     "repro.memsim.cache.simulate_trace": (
-        "(lines: 'np.ndarray', machine: 'MachineSpec | str', *, config: "
+        "(lines: 'np.ndarray', machine: 'MachineSpec', *, config: "
         "'RunConfig | None' = None, next_line_prefetch: 'bool' = False, "
         "policy: 'str' = 'lru', sim_engine: 'str | None' = None) -> "
         "'HierarchyStats'"
     ),
     "repro.memsim.multicore.simulate_multicore": (
-        "(lines_per_core: 'list[np.ndarray]', machine: 'MachineSpec | str',"
-        " *, config: 'RunConfig | None' = None, affinity: 'str' = 'compact',"
+        "(lines_per_core: 'list[np.ndarray]', machine: 'MachineSpec', *,"
+        " config: 'RunConfig | None' = None, affinity: 'str' = 'compact',"
         " quantum: 'int' = 64, engine: 'str | None' = None, max_workers: "
         "'int | None' = None, sim_engine: 'str | None' = None) -> "
         "'MulticoreResult'"
     ),
     "repro.memsim.machine.resolve_machine": (
-        "(machine: 'MachineSpec | str | None', *, footprint_bytes: "
-        "'int | None' = None, stacklevel: 'int' = 3) -> "
-        "'MachineSpec | None'"
-    ),
-    "repro.backend.get_backend": (
-        "(name: 'str' = 'numpy') -> 'ArrayBackend'"
+        "(machine: 'MachineSpec | None') -> 'MachineSpec | None'"
     ),
     "repro.config.RunConfig": (
         "(engine: 'str' = 'reference', sim_engine: 'str' = 'reference', "
         "mem_engine: 'str' = 'sequential', order_engine: 'str' = "
-        "'reference', backend: 'str' = 'numpy', trace_mode: 'str' = "
+        "'reference', trace_mode: 'str' = "
         "'materialize', seed: 'int' = 0, "
         "machine_profile:"
         " 'str | None' = None, stream_window_events: 'int | None' = None, "

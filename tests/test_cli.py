@@ -201,20 +201,8 @@ class TestEngineFlags:
         assert "engines:" in out and "vectorized" in out
         assert "sim engines:" in out and "batched" in out
         assert "mem engines:" in out and "sharded" in out
-        assert "backends:" in out and "numpy" in out
-
-    def test_rejects_unknown_backend(self, mesh_stem):
-        # argparse choices= derived from engine_axes(): exit status 2.
-        with pytest.raises(SystemExit) as exc:
-            main(["smooth", str(mesh_stem), "--backend", "tensorflow"])
-        assert exc.value.code == 2
-
-    def test_smooth_accepts_backend_flag(self, mesh_stem, capsys):
-        rc = main(["smooth", str(mesh_stem), "--ordering", "rdr",
-                   "--engine", "vectorized", "--backend", "numpy",
-                   "--max-iterations", "2"])
-        assert rc == 0
-        assert "smoothed" in capsys.readouterr().out
+        assert "order engines:" in out and "trace modes:" in out
+        assert "backends:" not in out
 
     def test_smooth_accepts_machine_profile(self, mesh_stem, capsys):
         rc = main(["smooth", str(mesh_stem), "--ordering", "rdr",
@@ -315,6 +303,33 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "unknown stream window '0'" in err and err.count("\n") == 1
 
+    def test_nan_coordinate_exits_2(self, mesh_stem, capsys):
+        node = mesh_stem.with_suffix(".node")
+        lines = node.read_text().splitlines()
+        vid, _, y, *rest = lines[5].split()
+        lines[5] = " ".join([vid, "nan", y, *rest])
+        node.write_text("\n".join(lines) + "\n")
+        rc = main(["smooth", str(mesh_stem), "--max-iterations", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "quality" not in captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "non-finite" in captured.err and "m.node" in captured.err
+
+    def test_node_count_mismatch_exits_2(self, mesh_stem, capsys):
+        node = mesh_stem.with_suffix(".node")
+        header, *body = node.read_text().splitlines()
+        count, *fields = header.split()
+        node.write_text(
+            " ".join([str(int(count) + 3), *fields]) + "\n"
+            + "\n".join(body) + "\n"
+        )
+        rc = main(["smooth", str(mesh_stem), "--max-iterations", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "header count" in err and "m.node" in err
+
     def test_lab_bad_stream_window_exits_2(self, tmp_path, capsys):
         rc = main(["lab", "init", "--db", str(tmp_path / "lab.db"),
                    "--stream-windows", "-3"])
@@ -377,13 +392,6 @@ class TestLab:
         assert rc == 2
         err = capsys.readouterr().err
         assert "unknown mem engine 'turbo'" in err and "sharded" in err
-
-    def test_init_unknown_backend_exits_2(self, tmp_path, capsys):
-        rc = main(["lab", "init", "--db", str(tmp_path / "lab.db"),
-                   "--backends", "tensorflow"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'tensorflow'" in err and "numpy" in err
 
     def test_run_obs_export_with_spans(self, tmp_path, capsys):
         db = tmp_path / "lab.db"
