@@ -48,9 +48,6 @@ def main(
 
         mesh = load_chunked_mesh(path, mmap=True)
         config = RunConfig(
-            engine="vectorized",
-            sim_engine="batched",
-            order_engine="batched",
             trace_mode=trace_mode,
             stream_window_events=window_events,
         )

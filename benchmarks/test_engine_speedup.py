@@ -1,14 +1,14 @@
 """Engine speedup: vectorized smoothing and sharded memsim replay.
 
-Acceptance benchmark for the fast-engine work: on a 50k-vertex
-unit-square mesh, ``engine="vectorized"`` must run the same
-Gauss-Seidel storage sweep at least 5x faster than the reference
-per-vertex loop (and the coordinates must agree to ``rtol=1e-12``).
-With trace recording on — the configuration the full pipeline actually
-runs — the gap widens to tens of x, because the reference engine
-appends ``4 + 2*deg`` trace events per vertex in interpreted Python
-while the vectorized engine builds each iteration's event block with
-a handful of array ops.
+Acceptance benchmark for the smoother: on a 50k-vertex unit-square
+mesh, ``laplacian_smooth`` (NumPy wavefront batches) must run the same
+Gauss-Seidel storage sweep at least 5x faster than the scalar
+per-vertex oracle of ``tests/smoothing/oracles.py`` (and the
+coordinates must agree to ``rtol=1e-12``). With trace recording on —
+the configuration the full pipeline actually runs — the gap widens to
+tens of x, because the scalar loop appends ``4 + 2*deg`` trace events
+per vertex in interpreted Python while the smoother builds each
+iteration's event block with a handful of array ops.
 
 The second half times the sharded multicore replay against the
 sequential engine on the same traced workload and checks the results
@@ -16,7 +16,9 @@ are identical (the differential suite pins exactness; here we record
 the wall-clock ratio alongside).
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from conftest import run_once
@@ -29,6 +31,9 @@ from repro.meshgen import perturb_interior, structured_rectangle
 from repro.parallel import parallel_traces
 from repro.smoothing import laplacian_smooth
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.smoothing.oracles import scalar_smooth  # noqa: E402
+
 ITERATIONS = 10
 
 
@@ -40,15 +45,16 @@ def _bench_mesh():
 def _time_engines(record_trace: bool) -> dict:
     mesh = _bench_mesh()
     times, results = {}, {}
-    for engine in ("reference", "vectorized"):
+    for engine, smooth in (
+        ("reference", scalar_smooth), ("vectorized", laplacian_smooth)
+    ):
         t0 = time.perf_counter()
-        results[engine] = laplacian_smooth(
+        results[engine] = smooth(
             mesh,
             traversal="storage",
             max_iterations=ITERATIONS,
             tol=-np.inf,
             record_trace=record_trace,
-            config=RunConfig(engine=engine),
         )
         times[engine] = time.perf_counter() - t0
     assert np.allclose(

@@ -2,8 +2,8 @@
 
 Acceptance benchmark for the batched memsim engine: on a 1M-event
 single-core LRU stream against the full-size Westmere-EX hierarchy,
-``sim_engine="batched"`` must beat the reference replay by >=10x while
-reproducing its per-level access/hit counts exactly (exactness is
+``simulate_trace`` must beat the per-event ``CacheHierarchy`` replay by
+>=10x while reproducing its per-level access/hit counts exactly (exactness is
 asserted on every row; the differential/property suite in
 ``tests/memsim/test_batched.py`` pins it independently).
 
@@ -45,7 +45,7 @@ from conftest import run_once
 from repro.bench import format_table, save_json
 from repro import RunConfig
 from repro.core.pipeline import run_ordering
-from repro.memsim import reuse_distances, simulate_trace, westmere_ex
+from repro.memsim import CacheHierarchy, reuse_distances, simulate_trace, westmere_ex
 from repro.meshgen import (
     generate_domain_mesh,
     perturb_interior,
@@ -60,14 +60,12 @@ def _time_both(name: str, lines: np.ndarray) -> dict:
     machine = westmere_ex()
     lines = np.asarray(lines, dtype=np.int64)
     t0 = time.perf_counter()
-    ref = simulate_trace(lines, machine)
+    ref = CacheHierarchy(machine).run(lines)
     ref_s = time.perf_counter() - t0
     batched_s = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        got = simulate_trace(
-            lines, machine, config=RunConfig(sim_engine="batched")
-        )
+        got = simulate_trace(lines, machine)
         batched_s = min(batched_s, time.perf_counter() - t0)
     for a, b in zip(ref.levels(), got.levels()):
         assert (a.accesses, a.hits) == (b.accesses, b.hits), a.name
@@ -119,12 +117,7 @@ def _time_reuse(name: str, lines: np.ndarray) -> dict:
 
 def _crake_sweep_lines() -> np.ndarray:
     mesh = generate_domain_mesh("crake", target_vertices=30000, seed=1)
-    run = run_ordering(
-        mesh,
-        "ori",
-        config=RunConfig(engine="vectorized", sim_engine="batched"),
-        fixed_iterations=1,
-    )
+    run = run_ordering(mesh, "ori", fixed_iterations=1)
     return run.lines
 
 

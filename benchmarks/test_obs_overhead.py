@@ -31,7 +31,7 @@ from repro.bench import format_table, save_json
 from repro.core.pipeline import run_ordering
 from repro.meshgen import perturb_interior, structured_rectangle
 
-PIPELINE_CONFIG = RunConfig(engine="vectorized", sim_engine="batched")
+PIPELINE_CONFIG = RunConfig()
 ITERATIONS = 2
 MICRO_LOOPS = 200_000
 MAX_DISABLED_OVERHEAD = 0.05

@@ -1,10 +1,11 @@
-"""Ordering-engine speedup: the batched frontier/chain implementations.
+"""Ordering speedup: the batched frontier/chain implementations.
 
-Acceptance benchmark for the ``order_engine`` axis: on the 50k-vertex
-unit-square mesh the batched engine must order at least 10x faster than
-the reference implementation for ``rdr`` and at least 20x for ``bfs``
-and ``rcm`` — while returning the element-wise identical permutation
-(asserted inline on every timed call).
+Acceptance benchmark for the orderings ``get_ordering`` serves: on the
+50k-vertex unit-square mesh the batched implementation must order at
+least 10x faster than the reference function in ``ORDERINGS`` for
+``rdr`` and at least 20x for ``bfs`` and ``rcm`` — while returning the
+element-wise identical permutation (asserted inline on every timed
+call).
 
 Timings are min-over-repeats with the reference and batched variants
 interleaved, so background load hits both sides equally.  The batched
@@ -26,10 +27,9 @@ import time
 import numpy as np
 from conftest import run_once
 
-from repro import RunConfig
 from repro.bench import format_table, save_json
 from repro.meshgen import perturb_interior, structured_rectangle
-from repro.ordering import get_ordering
+from repro.ordering import ORDERINGS, get_ordering
 from repro.quality import patch_quality, vertex_quality
 from repro.smoothing import laplacian_smooth
 
@@ -53,8 +53,8 @@ def _bench_mesh():
 
 
 def _time_ordering(mesh, name, rank_q) -> dict:
-    ref_fn = get_ordering(name)
-    bat_fn = get_ordering(name, order_engine="batched")
+    ref_fn = ORDERINGS[name]
+    bat_fn = get_ordering(name)
 
     # Cold: a fresh identical mesh, so no per-graph plan exists yet.
     fresh = mesh.permute(np.arange(mesh.num_vertices, dtype=np.int64))
@@ -91,7 +91,6 @@ def _sweep_iteration_seconds(mesh) -> float:
             traversal="storage",
             max_iterations=SWEEP_ITERATIONS,
             tol=-np.inf,
-            config=RunConfig(engine="vectorized"),
         )
         best = min(best, time.perf_counter() - t0)
     return best / SWEEP_ITERATIONS

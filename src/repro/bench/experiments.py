@@ -88,18 +88,9 @@ class BenchConfig:
     cores: tuple[int, ...] = (1, 2, 4, 8, 16, 24, 32)
     scaling_iterations: int = 3
     affinity: str = "scatter"
-    #: Smoothing execution engine: "reference" or "vectorized"
-    #: (identical traces and coordinates).
-    engine: str = "reference"
     #: Multicore replay engine: "sequential" or "sharded" (worker
     #: processes, one per occupied socket; identical counts).
     mem_engine: str = "sequential"
-    #: Cache simulator: "reference" (per-event replay) or "batched"
-    #: (vectorized stack-distance engine; identical counts).
-    sim_engine: str = "reference"
-    #: Vertex-ordering engine: "reference" or "batched" (vectorized
-    #: frontier traversals; identical permutations).
-    order_engine: str = "reference"
     #: Where the smoother's trace goes: "materialize" (in-memory
     #: trace), "spill" (chunked on-disk) or "fused" (streamed straight
     #: into the simulators; identical counts, bounded memory).
@@ -108,7 +99,7 @@ class BenchConfig:
     @classmethod
     def from_run_config(cls, config: RunConfig, **overrides) -> "BenchConfig":
         """A BenchConfig whose engine axes and seed come from ``config``
-        (the CLI's ``--engine``/``--sim-engine``/``--mem-engine``/``--seed``);
+        (the CLI's ``--mem-engine``/``--trace-mode``/``--seed``);
         everything else keeps its default unless overridden."""
         return cls(
             **{axis: getattr(config, axis) for axis in engine_axes()},
@@ -180,8 +171,6 @@ def serial_run(
         iterations,
         traversal,
         rank_passes,
-        cfg.engine,
-        cfg.sim_engine,
     )
     if key not in _RUNS:
         mesh = suite_meshes(cfg)[label]
@@ -483,7 +472,6 @@ def scaling_sweep(
         cfg.rank_passes,
         cfg.traversal,
         cfg.mem_engine,
-        cfg.sim_engine,
     )
     if key in _SCALING:
         return _SCALING[key]

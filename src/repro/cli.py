@@ -14,13 +14,12 @@ Subcommands:
                ``lab work --server URL`` drains it from any host
 ``list``       show available domains, orderings, experiments and engines
 
-Engine selection is uniform across subcommands: :func:`add_engine_args`
+Run selection is uniform across subcommands: :func:`add_engine_args`
 derives one flag per :func:`repro.config.engine_axes` axis —
-``--engine``/``--sim-engine``/``--mem-engine``/``--order-engine``/
-``--trace-mode`` plus ``--seed`` and ``--machine-profile`` (or the plural
-comma-list forms for grid sweeps) — and :func:`run_config_from_args`
-folds them into one validated :class:`repro.config.RunConfig`.
-Observability flags (``--trace-out``, ``--metrics-out``) ride in the
+``--mem-engine``/``--trace-mode`` plus ``--seed`` and
+``--machine-profile`` (or the plural comma-list forms for grid sweeps)
+— and :func:`run_config_from_args` folds them into one validated
+:class:`repro.config.RunConfig`. Observability flags (``--trace-out``, ``--metrics-out``) ride in the
 same config.
 
 Unknown domain/ordering/experiment/engine names exit with status 2 and
@@ -186,16 +185,8 @@ def _comma_list(cast):
 #: :func:`repro.config.engine_axes` get a flag automatically even
 #: without an entry here.
 AXIS_HELP = {
-    "engine": "smoothing execution engine: scalar reference loop or the "
-              "NumPy wavefront engine (same results, faster)",
-    "sim_engine": "cache simulator: per-event reference replay or the "
-                  "vectorized stack-distance engine (identical counts, "
-                  "much faster)",
     "mem_engine": "multicore replay engine: in-process sockets or one "
                   "worker process per socket (identical counts)",
-    "order_engine": "vertex-ordering engine: reference traversals or the "
-                    "frontier-batched NumPy reimplementation (identical "
-                    "permutations, much faster)",
     "trace_mode": "where the smoother's access trace goes: materialize "
                   "(full in-memory trace), spill (stream to the chunked "
                   "on-disk format) or fused (stream windows straight into "
@@ -208,12 +199,12 @@ def add_engine_args(parser, *, plural: bool = False) -> None:
     """Attach the unified engine/seed flags to a subcommand parser.
 
     One flag per :func:`repro.config.engine_axes` axis plus ``--seed``
-    and ``--machine-profile``: the singular form (``--engine``/
-    ``--sim-engine``/``--mem-engine``/``--order-engine``/``--trace-mode``)
-    selects one :class:`repro.config.RunConfig`; the plural comma-list
-    form (``--engines``/.../``--trace-modes``/``--seeds``) spans grid axes
-    for ``lab init``.  The flag set is derived from the axis registry,
-    so new engine axes surface on every subcommand automatically.
+    and ``--machine-profile``: the singular form (``--mem-engine``/
+    ``--trace-mode``) selects one :class:`repro.config.RunConfig`; the
+    plural comma-list form (``--mem-engines``/``--trace-modes``/
+    ``--seeds``) spans grid axes for ``lab init``.  The flag set is
+    derived from the axis registry, so new axes surface on every
+    subcommand automatically.
     """
     for axis, choices in engine_axes().items():
         flag = "--" + axis.replace("_", "-")
@@ -481,10 +472,7 @@ def _cmd_smooth(args) -> int:
             smoothed = result.mesh
         else:
             if args.ordering:
-                mesh, _ = apply_ordering(
-                    mesh, args.ordering, seed=config.seed,
-                    order_engine=config.order_engine,
-                )
+                mesh, _ = apply_ordering(mesh, args.ordering, seed=config.seed)
             result = laplacian_smooth(
                 mesh, config=config, traversal=args.traversal,
                 max_iterations=args.max_iterations,
@@ -505,17 +493,12 @@ def _cmd_smooth(args) -> int:
 def _cmd_reorder(args) -> int:
     config = run_config_from_args(args)
     mesh = read_triangle(args.input)
-    permuted, _ = apply_ordering(
-        mesh, args.ordering, seed=config.seed,
-        order_engine=config.order_engine,
-    )
+    permuted, _ = apply_ordering(mesh, args.ordering, seed=config.seed)
     node, ele = write_triangle(permuted, args.output)
     print(f"reordered {mesh.num_vertices} vertices with {args.ordering!r}")
     print(f"wrote {node} and {ele}")
     if args.report_cost:
-        cost = measure_reordering_cost(
-            mesh, args.ordering, order_engine=config.order_engine
-        )
+        cost = measure_reordering_cost(mesh, args.ordering)
         print(
             f"reordering cost: {cost.ordering_seconds * 1e3:.2f} ms "
             f"= {cost.iterations_equivalent:.2f} smoothing iterations"
@@ -579,9 +562,7 @@ def _cmd_analyze(args) -> int:
             summary = trace_summary(run.trace, run.layout)
             rows = [
                 b.as_row()
-                for b in per_array_breakdown(
-                    run.trace, run.layout, run.machine, config=config
-                )
+                for b in per_array_breakdown(run.trace, run.layout, run.machine)
             ]
     if config.trace_mode == "materialize":
         print(
@@ -817,8 +798,8 @@ def _cmd_lab(args) -> int:
             cache_scales=args.cache_scales,
             quality_structure=args.quality_structure,
             max_iterations=args.max_iterations,
-            # One plural axis per engine_axes() entry (--engines,
-            # --sim-engines, ..., --trace-modes).
+            # One plural axis per engine_axes() entry (--mem-engines,
+            # --trace-modes).
             **{
                 axis + "s": getattr(args, axis + "s")
                 for axis in engine_axes()

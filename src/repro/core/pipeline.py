@@ -25,13 +25,7 @@ import numpy as np
 from pathlib import Path
 
 from .. import obs
-from ..config import (
-    DEFAULT_RUN_CONFIG,
-    RunConfig,
-    UnknownNameError,
-    engine_axes,
-    resolve_config,
-)
+from ..config import DEFAULT_RUN_CONFIG, RunConfig, UnknownNameError, engine_axes
 from ..mesh import TriMesh
 from ..memsim import (
     COLD,
@@ -168,7 +162,6 @@ def _prepare(
     seed: int,
     rank_passes: int = DEFAULT_RANK_PASSES,
     precomputed_order: np.ndarray | None = None,
-    order_engine: str = "reference",
 ) -> tuple[TriMesh, np.ndarray, np.ndarray]:
     """Rank-smooth the quality signal and permute the mesh under it.
 
@@ -190,8 +183,7 @@ def _prepare(
         permuted = mesh.permute(order)
     else:
         permuted, order = apply_ordering(
-            mesh, ordering, seed=seed, qualities=rank_q,
-            order_engine=order_engine,
+            mesh, ordering, seed=seed, qualities=rank_q
         )
     return permuted, order, rank_q[order]
 
@@ -206,24 +198,16 @@ def run_ordering(
     max_iterations: int = 50,
     fixed_iterations: int | None = None,
     qualities: np.ndarray | None = None,
-    seed: int | None = None,
     rank_passes_override: int | None = None,
-    smoother_kwargs: dict | None = None,
     precomputed_order: np.ndarray | None = None,
-    engine: str | None = None,
-    sim_engine: str | None = None,
-    order_engine: str | None = None,
     summary_only: bool = False,
     trace_dir: str | Path | None = None,
 ) -> OrderedRun:
     """Order, smooth (with tracing), simulate, and price one execution.
 
-    ``config`` selects the smoothing engine, the cache simulator, the
-    ordering engine, the ordering seed, the default-machine calibration
-    profile and the observability flags in one
-    :class:`repro.config.RunConfig`; the bare
-    ``engine=``/``sim_engine=``/``order_engine=``/``seed=`` keywords are
-    deprecated shims for the same fields.
+    ``config`` selects the trace mode, the ordering seed, the
+    default-machine calibration profile and the observability flags in
+    one :class:`repro.config.RunConfig`.
     ``fixed_iterations`` overrides convergence (useful when comparing
     orderings at identical work, mirroring the paper's note that
     orderings did not change the iteration count).
@@ -255,10 +239,8 @@ def run_ordering(
     and a live ``memsim.reuse_distance`` histogram whose computation is
     cached on the returned run (:attr:`OrderedRun.distances`).
     """
-    config = resolve_config(
-        config, engine=engine, sim_engine=sim_engine,
-        order_engine=order_engine, seed=seed,
-    )
+    if config is None:
+        config = DEFAULT_RUN_CONFIG
     if summary_only and config.trace_mode == "materialize":
         # Caller only wants summary stats: pick the fused path (and
         # record it, so run provenance reflects the mode actually used).
@@ -283,18 +265,11 @@ def run_ordering(
         "pipeline.run_ordering",
         mesh=mesh.name,
         ordering=ordering,
-        engine=config.engine,
-        sim_engine=config.sim_engine,
-        order_engine=config.order_engine,
     ):
-        with obs.span(
-            "pipeline.reorder",
-            ordering=ordering,
-            order_engine=config.order_engine,
-        ) as sp:
+        with obs.span("pipeline.reorder", ordering=ordering) as sp:
             permuted, order, _ = _prepare(
                 mesh, ordering, qualities, config.seed, rank_passes,
-                precomputed_order, config.order_engine,
+                precomputed_order,
             )
             sp.add_event(permuted.num_vertices)
         if summary_only:
@@ -306,14 +281,12 @@ def run_ordering(
 
             release_plan_caches(mesh.adjacency)
 
-        kwargs = dict(smoother_kwargs or {})
-        kwargs.setdefault("traversal", traversal)
-        kwargs.setdefault("max_iterations", max_iterations)
-        kwargs.setdefault("rank_passes", rank_passes)
-        smoother_engine = kwargs.pop("engine", config.engine)
+        kwargs = dict(traversal=traversal, rank_passes=rank_passes)
         if fixed_iterations is not None:
-            kwargs["max_iterations"] = fixed_iterations
-            kwargs["tol"] = -np.inf  # never converge early
+            # Never converge early.
+            kwargs.update(max_iterations=fixed_iterations, tol=-np.inf)
+        else:
+            kwargs.update(max_iterations=max_iterations)
         layout = MemoryLayout.for_mesh(permuted, line_size=machine.line_size)
         window_events = (
             config.stream_window_events or DEFAULT_FUSED_WINDOW_EVENTS
@@ -323,16 +296,12 @@ def run_ordering(
         if mode == "fused":
             # The bucketed series needs the total event count up front;
             # it is only predictable when the iteration count is pinned
-            # and culling cannot shrink the traversal. summary_only
-            # callers get cache counts + modeled cost alone: the reuse
-            # analyses cost ~10x the cache simulation, and the
-            # materialized path only computes them lazily on demand.
+            # (the pipeline never culls). summary_only callers get cache
+            # counts + modeled cost alone: the reuse analyses cost ~10x
+            # the cache simulation, and the materialized path only
+            # computes them lazily on demand.
             total_events = None
-            if (
-                not summary_only
-                and fixed_iterations is not None
-                and not kwargs.get("culling")
-            ):
+            if not summary_only and fixed_iterations is not None:
                 g = permuted.adjacency
                 total_events = fixed_iterations * traversal_events(
                     g.xadj, permuted.interior_vertices()
@@ -340,7 +309,6 @@ def run_ordering(
             analysis = FusedAnalysis(
                 layout,
                 machine,
-                sim_engine=config.sim_engine,
                 total_events=total_events,
                 reuse=not summary_only,
                 per_iteration_profiles=not summary_only,
@@ -351,7 +319,7 @@ def run_ordering(
         smoother = LaplacianSmoother(
             record_trace=mode == "materialize",
             trace_sink=sink,
-            config=config.replace(engine=smoother_engine),
+            config=config,
             **kwargs,
         )
         with obs.span("pipeline.smooth", trace_mode=mode) as sp:
@@ -392,7 +360,6 @@ def run_ordering(
                 analysis = FusedAnalysis(
                     layout,
                     machine,
-                    sim_engine=config.sim_engine,
                     total_events=None if summary_only else chunked.total_events,
                     reuse=not summary_only,
                     per_iteration_profiles=not summary_only,
@@ -428,20 +395,8 @@ def compare_orderings(
     machine: MachineSpec | None = None,
     **kwargs,
 ) -> dict[str, OrderedRun]:
-    """Run several orderings of one mesh under identical settings.
-
-    Engine/seed selection rides in ``config``; the deprecated
-    ``engine=``/``sim_engine=``/``order_engine=``/``seed=`` keywords are
-    resolved here (not in :func:`run_ordering`) so the warning points at
-    the caller.
-    """
-    config = resolve_config(
-        config,
-        engine=kwargs.pop("engine", None),
-        sim_engine=kwargs.pop("sim_engine", None),
-        order_engine=kwargs.pop("order_engine", None),
-        seed=kwargs.pop("seed", None),
-    )
+    """Run several orderings of one mesh under identical settings
+    (``config`` and ``kwargs`` as for :func:`run_ordering`)."""
     qualities = kwargs.pop("qualities", None)
     if qualities is None:
         qualities = vertex_quality(mesh)
@@ -484,7 +439,7 @@ def run_summary(run: OrderedRun) -> dict:
         "memory_accesses": int(st.memory_accesses),
         "modeled_ms": run.modeled_seconds * 1e3,
         # Full engine provenance: one column per engine_axes() axis
-        # (engine, sim_engine, mem_engine, order_engine, trace_mode).
+        # (mem_engine, trace_mode).
         **{axis: getattr(run.config, axis) for axis in engine_axes()},
         "seed": run.config.seed,
         "machine": run.machine.name,
@@ -541,10 +496,6 @@ def run_parallel_ordering(
     traversal: str = "greedy",
     affinity: str = "scatter",
     qualities: np.ndarray | None = None,
-    seed: int | None = None,
-    mem_engine: str | None = None,
-    sim_engine: str | None = None,
-    order_engine: str | None = None,
 ) -> ParallelRun:
     """Simulate a ``num_cores``-thread smoothing run under an ordering.
 
@@ -552,17 +503,10 @@ def run_parallel_ordering(
     hypothesises its machine used for few-thread runs (the source of the
     super-linear speedups); the ablation bench flips it to ``compact``.
     ``config.mem_engine`` selects the replay engine (``"sequential"`` or
-    ``"sharded"``; see :func:`repro.memsim.simulate_multicore`) and
-    ``config.sim_engine`` the per-socket simulator (``"reference"`` or
-    ``"batched"``; single-core sockets vectorize exactly), while
-    ``config.order_engine`` picks the vertex-ordering implementation; the
-    bare ``mem_engine=``/``sim_engine=``/``order_engine=``/``seed=``
-    keywords are deprecated shims for the same fields.
+    ``"sharded"``; see :func:`repro.memsim.simulate_multicore`).
     """
-    config = resolve_config(
-        config, mem_engine=mem_engine, sim_engine=sim_engine,
-        order_engine=order_engine, seed=seed,
-    )
+    if config is None:
+        config = DEFAULT_RUN_CONFIG
     if config.trace_mode == "spill":
         # The multicore replay needs every core's line stream at once,
         # so only full materialization or the partially-fused line
@@ -582,19 +526,12 @@ def run_parallel_ordering(
         ordering=ordering,
         cores=num_cores,
         mem_engine=config.mem_engine,
-        sim_engine=config.sim_engine,
-        order_engine=config.order_engine,
     ):
         if qualities is None:
             qualities = vertex_quality(mesh)
-        with obs.span(
-            "pipeline.reorder",
-            ordering=ordering,
-            order_engine=config.order_engine,
-        ) as sp:
+        with obs.span("pipeline.reorder", ordering=ordering) as sp:
             permuted, order, perm_q = _prepare(
-                mesh, ordering, qualities, config.seed,
-                order_engine=config.order_engine,
+                mesh, ordering, qualities, config.seed
             )
             sp.add_event(permuted.num_vertices)
         layout = MemoryLayout.for_mesh(permuted, line_size=machine.line_size)

@@ -22,7 +22,7 @@ estimate for the pre-computation).
 
 Batched engine
 --------------
-``order_engine="batched"`` runs the same algorithm through a compiled
+``get_ordering("rdr")`` runs the same algorithm through a compiled
 *ordering plan* (see :class:`_RdrQualityPlan`): the quality-sorted
 padded neighbor matrix, the seed cursor and the chain schedule are
 built once per ``(graph, qualities)`` pair and cached on the graph, and
@@ -192,7 +192,6 @@ def rdr_chain_heads(
     mesh: TriMesh,
     *,
     qualities: np.ndarray | None = None,
-    order_engine: str = "reference",
 ) -> np.ndarray:
     """The sequence of chain heads (processed vertices) of Algorithm 2.
 
@@ -202,38 +201,17 @@ def rdr_chain_heads(
     tests can check that RDR's storage order tracks the traversal and so
     the greedy smoother and RDR stay behaviourally aligned.
 
-    ``order_engine="batched"`` serves the heads from the cached ordering
-    plan (identical sequence, amortized cost).
+    The heads are served from the cached ordering plan, so the walk is
+    paid once per ``(graph, qualities)`` pair.
     """
-    n = mesh.num_vertices
+    if mesh.num_vertices == 0:
+        return np.empty(0, dtype=np.int64)
     if qualities is None:
         qualities = vertex_quality(mesh)
-    if order_engine == "batched":
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        plan = frontier_plan(mesh.adjacency)
-        qplan = _quality_plan(mesh, plan, np.asarray(qualities, dtype=np.float64))
-        heads, _ = qplan.rdr_schedule(plan)
-        return heads.copy()
-    xadj, nbrs = sorted_neighbor_lists(mesh, np.asarray(qualities, dtype=np.float64))
-    processed = np.zeros(n, dtype=bool)
-    heads: list[int] = []
-    interior = mesh.interior_vertices()
-    seeds = interior[np.argsort(qualities[interior], kind="stable")]
-    for i in seeds:
-        if processed[i]:
-            continue
-        processed[i] = True
-        heads.append(int(i))
-        row = nbrs[xadj[i] : xadj[i + 1]]
-        chain = row[~processed[row]]
-        while chain.size:
-            head = int(chain[0])
-            processed[head] = True
-            heads.append(head)
-            row = nbrs[xadj[head] : xadj[head + 1]]
-            chain = row[~processed[row]]
-    return np.asarray(heads, dtype=np.int64)
+    plan = frontier_plan(mesh.adjacency)
+    qplan = _quality_plan(mesh, plan, np.asarray(qualities, dtype=np.float64))
+    heads, _ = qplan.rdr_schedule(plan)
+    return heads.copy()
 
 
 # ---------------------------------------------------------------------------

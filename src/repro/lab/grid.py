@@ -34,10 +34,7 @@ class JobSpec:
     cache_scale: float = 1.0
     quality_structure: str = "ramp"
     max_iterations: int = 8
-    engine: str = "reference"
-    sim_engine: str = "reference"
     mem_engine: str = "sequential"
-    order_engine: str = "reference"
     trace_mode: str = "materialize"
     stream_window_events: int | None = None
 
@@ -88,10 +85,7 @@ def validate_names(
     domains: tuple[str, ...] = (),
     orderings: tuple[str, ...] = (),
     experiments: tuple[str, ...] = (),
-    engines: tuple[str, ...] = (),
-    sim_engines: tuple[str, ...] = (),
     mem_engines: tuple[str, ...] = (),
-    order_engines: tuple[str, ...] = (),
     trace_modes: tuple[str, ...] = (),
 ) -> None:
     """Raise :class:`UnknownNameError` for the first unknown name."""
@@ -108,14 +102,8 @@ def validate_names(
         if name not in EXPERIMENT_RUNNERS:
             raise UnknownNameError("experiment", name, list(EXPERIMENT_RUNNERS))
     # Engine axes share one validation loop with repro.config — the
-    # plural keyword for axis "x" is "xs" (engines, ..., trace_modes).
-    supplied = {
-        "engine": engines,
-        "sim_engine": sim_engines,
-        "mem_engine": mem_engines,
-        "order_engine": order_engines,
-        "trace_mode": trace_modes,
-    }
+    # plural keyword for axis "x" is "xs" (mem_engines, trace_modes).
+    supplied = {"mem_engine": mem_engines, "trace_mode": trace_modes}
     for axis, choices in engine_axes().items():
         for name in supplied.get(axis, ()):
             if name not in choices:
@@ -136,10 +124,7 @@ class ExperimentGrid:
     cache_scales: tuple[float, ...] = (1.0,)
     quality_structure: str = "ramp"
     max_iterations: int = 8
-    engines: tuple[str, ...] = ("reference",)
-    sim_engines: tuple[str, ...] = ("reference",)
     mem_engines: tuple[str, ...] = ("sequential",)
-    order_engines: tuple[str, ...] = ("reference",)
     trace_modes: tuple[str, ...] = ("materialize",)
     stream_windows: tuple[int | None, ...] = (None,)
 
@@ -148,10 +133,7 @@ class ExperimentGrid:
             domains=self.domains,
             orderings=self.orderings,
             experiments=self.experiments,
-            engines=self.engines,
-            sim_engines=self.sim_engines,
             mem_engines=self.mem_engines,
-            order_engines=self.order_engines,
             trace_modes=self.trace_modes,
         )
         for window in self.stream_windows:
@@ -175,15 +157,12 @@ class ExperimentGrid:
                 cache_scale=scale,
                 quality_structure=self.quality_structure,
                 max_iterations=self.max_iterations,
-                engine=engine,
-                sim_engine=sim_engine,
                 mem_engine=mem_engine,
-                order_engine=order_engine,
                 trace_mode=trace_mode,
                 stream_window_events=stream_window,
             )
-            for experiment, domain, ordering, vertices, scale, seed, engine,
-            sim_engine, mem_engine, order_engine, trace_mode, stream_window
+            for experiment, domain, ordering, vertices, scale, seed,
+            mem_engine, trace_mode, stream_window
             in product(
                 self.experiments,
                 self.domains,
@@ -191,10 +170,7 @@ class ExperimentGrid:
                 self.vertices,
                 self.cache_scales,
                 self.seeds,
-                self.engines,
-                self.sim_engines,
                 self.mem_engines,
-                self.order_engines,
                 self.trace_modes,
                 self.stream_windows,
             )
@@ -209,8 +185,7 @@ class ExperimentGrid:
         kwargs = {k: v for k, v in data.items() if k in names}
         for key in (
             "experiments", "domains", "orderings", "vertices", "seeds",
-            "cache_scales", "engines", "sim_engines", "mem_engines",
-            "order_engines", "trace_modes", "stream_windows",
+            "cache_scales", "mem_engines", "trace_modes", "stream_windows",
         ):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])

@@ -93,9 +93,8 @@ def _cached_mesh(spec: JobSpec, cache: ArtifactCache) -> TriMesh:
 def _cached_order(spec: JobSpec, cache: ArtifactCache, mesh: TriMesh):
     """The permutation under the same rank-smoothed signal _prepare uses.
 
-    The cache key deliberately excludes ``order_engine``: both engines
-    return the same permutation by contract (pinned by the differential
-    suite), so jobs differing only in that axis share the cached array.
+    The cache key holds only what determines the permutation: the
+    mesh, the ordering name and the rank-smoothing passes.
     """
     params = {
         **spec.mesh_params(),
@@ -107,8 +106,7 @@ def _cached_order(spec: JobSpec, cache: ArtifactCache, mesh: TriMesh):
         rank_q = patch_quality(
             mesh, passes=DEFAULT_RANK_PASSES, base=vertex_quality(mesh)
         )
-        fn = get_ordering(spec.ordering, order_engine=spec.order_engine)
-        return fn(mesh, seed=spec.seed, qualities=rank_q)
+        return get_ordering(spec.ordering)(mesh, seed=spec.seed, qualities=rank_q)
 
     return cache.array("order", params, build)
 
@@ -193,9 +191,7 @@ def _run_parallel_pipeline(spec: JobSpec, cache: ArtifactCache) -> dict:
 def _run_reorder_cost(spec: JobSpec, cache: ArtifactCache) -> dict:
     def compute() -> dict:
         mesh = _cached_mesh(spec, cache)
-        cost = measure_reordering_cost(
-            mesh, spec.ordering, order_engine=spec.order_engine
-        )
+        cost = measure_reordering_cost(mesh, spec.ordering)
         return {
             "quality": global_quality(mesh),
             "reorder_ms": cost.ordering_seconds * 1e3,

@@ -8,7 +8,7 @@ simulator.
 """
 
 from .analysis import ArrayBreakdown, per_array_breakdown, trace_summary
-from .batched import SIM_ENGINES, batched_levels, simulate_trace_batched
+from .batched import batched_levels
 from .chunked import TRACE_MANIFEST, ChunkedTrace, ChunkedTraceWriter
 from .cache import (
     CacheHierarchy,
@@ -96,7 +96,6 @@ __all__ = [
     "MemoryLayout",
     "MulticoreResult",
     "ReuseProfile",
-    "SIM_ENGINES",
     "SpillSink",
     "StreamingBucketedSeries",
     "StreamingHierarchy",
@@ -127,7 +126,6 @@ __all__ = [
     "simulate_multicore_sharded",
     "simulate_socket",
     "simulate_trace",
-    "simulate_trace_batched",
     "simulate_trace_streaming",
     "socket_shards",
     "streaming_reuse_distances",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import RunConfig, resolve_config
-from .cache import CacheHierarchy
+from ..config import RunConfig
+from .batched import batched_levels
 from .layout import MemoryLayout
 from .machine import MachineSpec
 from .reuse import COLD, reuse_distances
@@ -54,34 +54,16 @@ def per_array_breakdown(
     trace: AccessTrace,
     layout: MemoryLayout,
     machine: MachineSpec,
-    *,
-    config: RunConfig | None = None,
-    sim_engine: str | None = None,
 ) -> list[ArrayBreakdown]:
     """Simulate the hierarchy, attributing misses to logical arrays.
 
     Returns one row per array (in :data:`ARRAY_NAMES` order) that
-    appears in the trace. ``config=RunConfig(sim_engine="batched")``
-    computes the served levels with the vectorized engine (identical
-    results); the bare ``sim_engine=`` keyword is a deprecated shim.
+    appears in the trace; the served level (1..4) of every access comes
+    from the batched simulator.
     """
-    config = resolve_config(config, sim_engine=sim_engine)
-    sim_engine = config.sim_engine
     lines = layout.lines(trace)
     ids = trace.array_ids
-    if sim_engine == "batched":
-        from .batched import batched_levels
-
-        _, levels = batched_levels(lines, machine)
-    elif sim_engine == "reference":
-        hierarchy = CacheHierarchy(machine)
-        access = hierarchy.access
-        # served level per access: 1..4
-        levels = np.empty(len(trace), dtype=np.int8)
-        for i, line in enumerate(lines.tolist()):
-            levels[i] = access(line)
-    else:
-        raise ValueError(f"unknown sim engine {sim_engine!r}")
+    _, levels = batched_levels(lines, machine)
 
     out: list[ArrayBreakdown] = []
     for aid, name in enumerate(ARRAY_NAMES):
@@ -109,18 +91,15 @@ def trace_summary(
     machine: MachineSpec | None = None,
     *,
     config: RunConfig | None = None,
-    sim_engine: str | None = None,
 ) -> dict:
     """Structural summary of a trace.
 
     Reports length, per-array access shares, write fraction, distinct
     lines/elements touched, and the cold-access fraction at line
     granularity. When ``machine`` is given, a ``cache`` entry with
-    per-level hierarchy statistics is included, simulated with
-    ``config.sim_engine`` (the bare ``sim_engine=`` keyword is a
-    deprecated shim).
+    per-level hierarchy statistics is included, simulated by
+    :func:`repro.memsim.simulate_trace` under ``config``.
     """
-    config = resolve_config(config, sim_engine=sim_engine)
     lines = layout.lines(trace)
     elements = layout.element_ids(trace)
     dists = reuse_distances(lines)

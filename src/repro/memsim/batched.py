@@ -63,9 +63,15 @@ from .cache import CacheHierarchy, HierarchyStats, LevelStats, LRUCache
 from .machine import MachineSpec
 from .reuse import count_below
 
-__all__ = ["simulate_trace_batched", "batched_levels", "SIM_ENGINES"]
+__all__ = ["MIN_CASCADE_L2_RATIO", "batched_levels", "cascade_pays"]
 
-SIM_ENGINES = ("reference", "batched")
+#: The cascade pays where L2 holds several times L1's lines. An inclusive
+#: L2 barely larger than L1 back-invalidates L1-resident lines within a
+#: few events of any starting point, so nearly every event ends in the
+#: exact per-access tail and the vectorized pass is wasted: on the
+#: calibrated crake machines a per-access replay was faster up to an
+#: L2/L1 line ratio of 5.75, the cascade from 6.25 up (DESIGN §10.2).
+MIN_CASCADE_L2_RATIO = 6
 
 # Forward-scan tuning: chunk width per vectorized step; the bounded loop
 # runs until the surviving query set is tiny or the step budget is hit,
@@ -910,6 +916,11 @@ def _batched_lru(
     return stats.merged_with(hierarchy.stats), levels
 
 
+def cascade_pays(machine: MachineSpec) -> bool:
+    """Whether the batched cascade beats a per-access replay on ``machine``."""
+    return machine.l2.num_lines >= MIN_CASCADE_L2_RATIO * machine.l1.num_lines
+
+
 def batched_levels(
     lines: np.ndarray,
     machine: MachineSpec,
@@ -920,9 +931,10 @@ def batched_levels(
     """Per-level stats plus the served level (1..4) of every access.
 
     Falls back to the reference simulator for configurations outside the
-    stack-distance model (non-LRU policies, next-line prefetch).
+    stack-distance model (non-LRU policies, next-line prefetch) and for
+    machines where the cascade does not pay (:func:`cascade_pays`).
     """
-    if policy != "lru" or next_line_prefetch:
+    if policy != "lru" or next_line_prefetch or not cascade_pays(machine):
         hierarchy = CacheHierarchy(
             machine, next_line_prefetch=next_line_prefetch, policy=policy
         )
@@ -933,20 +945,3 @@ def batched_levels(
             levels[t] = access(line)
         return hierarchy.stats, levels
     return _batched_lru(lines, machine)
-
-
-def simulate_trace_batched(
-    lines: np.ndarray,
-    machine: MachineSpec,
-    *,
-    next_line_prefetch: bool = False,
-    policy: str = "lru",
-) -> HierarchyStats:
-    """Drop-in replacement for :func:`repro.memsim.cache.simulate_trace`."""
-    stats, _ = batched_levels(
-        lines,
-        machine,
-        next_line_prefetch=next_line_prefetch,
-        policy=policy,
-    )
-    return stats

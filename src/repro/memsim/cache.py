@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..config import RunConfig, resolve_config
+from ..config import DEFAULT_RUN_CONFIG, RunConfig
 from .machine import CacheSpec, MachineSpec, resolve_machine
 
 __all__ = [
@@ -334,64 +334,36 @@ def simulate_trace(
     config: RunConfig | None = None,
     next_line_prefetch: bool = False,
     policy: str = "lru",
-    sim_engine: str | None = None,
 ) -> HierarchyStats:
     """One-core simulation of a line-id stream on ``machine``.
 
-    The simulator is selected by ``config.sim_engine``:
-    ``config=RunConfig(sim_engine="batched")`` routes through the
-    vectorized stack-distance engine in :mod:`repro.memsim.batched`; it
-    produces bit-identical per-level counts (falling back to this
-    reference internally where the cascade cannot stay exact).  The
-    bare ``sim_engine=`` keyword is a deprecated shim for the same
-    selection.
+    Runs the vectorized stack-distance engine in
+    :mod:`repro.memsim.batched`, whose per-level counts are bit-identical
+    to a :class:`CacheHierarchy` replay. Non-LRU policies, next-line
+    prefetch and machines where the cascade does not pay
+    (:func:`~repro.memsim.batched.cascade_pays`) take that replay
+    instead, and the cascade falls back to it internally where it cannot
+    stay exact.
 
-    ``config.stream_window_events`` additionally bounds peak memory: the
-    stream is replayed through the selected engine in windows of that
-    many events with carried state (:mod:`repro.memsim.streaming`),
-    still with bit-identical counts.
+    The stream replays in windows with carried state
+    (:mod:`repro.memsim.streaming`), sized by
+    :func:`~repro.memsim.streaming.auto_window_events` or set outright
+    by ``config.stream_window_events`` to bound peak memory. Counts are
+    bit-identical either way.
     """
-    config = resolve_config(config, sim_engine=sim_engine)
+    if config is None:
+        config = DEFAULT_RUN_CONFIG
     machine = resolve_machine(machine)
-    engine = config.sim_engine
-    window = config.stream_window_events
-    with obs.span(
-        "memsim.simulate_trace",
-        engine=engine,
-        machine=machine.name,
-    ) as sp:
+    from .streaming import simulate_trace_streaming
+
+    with obs.span("memsim.simulate_trace", machine=machine.name) as sp:
         sp.add_event(int(np.asarray(lines).size))
-        if engine not in ("reference", "batched"):
-            raise ValueError(f"unknown sim engine {engine!r}")
-        if window is not None:
-            from .streaming import StreamingHierarchy, iter_line_windows
-
-            sim = StreamingHierarchy(
-                machine,
-                sim_engine=engine,
-                next_line_prefetch=next_line_prefetch,
-                policy=policy,
-            )
-            for win in iter_line_windows(lines, window):
-                sim.consume(win)
-            stats = sim.stats
-            obs.add("memsim.stream.windows", sim.windows)
-            obs.gauge_set(
-                "memsim.stream.peak_window_events", sim.peak_window_events
-            )
-            obs.gauge_set("memsim.stream.carry_events", sim.carry_events)
-        elif engine == "batched":
-            from .batched import simulate_trace_batched
-
-            stats = simulate_trace_batched(
-                lines,
-                machine,
-                next_line_prefetch=next_line_prefetch,
-                policy=policy,
-            )
-        else:
-            stats = CacheHierarchy(
-                machine, next_line_prefetch=next_line_prefetch, policy=policy
-            ).run(lines)
+        stats = simulate_trace_streaming(
+            lines,
+            machine,
+            window_events=config.stream_window_events,
+            next_line_prefetch=next_line_prefetch,
+            policy=policy,
+        )
         observe_hierarchy_stats(stats)
         return stats

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..config import RunConfig, resolve_config
+from ..config import DEFAULT_RUN_CONFIG, RunConfig
 from .cache import (
     CacheHierarchy,
     HierarchyStats,
@@ -128,7 +128,6 @@ def simulate_socket(
     machine: MachineSpec,
     *,
     quantum: int = 64,
-    sim_engine: str = "reference",
     stream_window_events: int | None = None,
 ) -> list[CoreResult]:
     """Simulate one socket: its cores' streams against one shared L3.
@@ -139,10 +138,10 @@ def simulate_socket(
     the sequential and the sharded engine run this very function, which
     is what makes their per-level counts identical by construction.
 
-    ``sim_engine="batched"`` applies to single-core sockets only, where
-    the socket degenerates to a private hierarchy and the vectorized
-    cascade is exact; multi-core sockets interleave through the shared
-    L3 and always use the reference replay.
+    A single-core socket degenerates to a private hierarchy and replays
+    exactly like :func:`~repro.memsim.cache.simulate_trace`; multi-core
+    sockets interleave through the shared L3 in a per-access
+    :class:`~repro.memsim.cache.CacheHierarchy` replay.
 
     ``stream_window_events`` bounds peak memory: single-core sockets
     replay through :class:`repro.memsim.streaming.StreamingHierarchy`
@@ -150,13 +149,10 @@ def simulate_socket(
     quantum of each stream at a time — so memory-mapped streams are
     never pulled in whole. Counts are bit-identical either way.
     """
-    if sim_engine not in ("reference", "batched"):
-        raise ValueError(f"unknown sim engine {sim_engine!r}")
     with obs.span(
         "memsim.socket",
         socket=int(socket_id),
         cores=len(member_cores),
-        engine=sim_engine,
     ) as sp:
         sp.add_event(int(sum(np.asarray(s).size for s in streams)))
         results = _simulate_socket_impl(
@@ -165,7 +161,6 @@ def simulate_socket(
             streams,
             machine,
             quantum,
-            sim_engine,
             stream_window_events,
         )
         for cr in results:
@@ -179,28 +174,16 @@ def _simulate_socket_impl(
     streams: list[np.ndarray],
     machine: MachineSpec,
     quantum: int,
-    sim_engine: str,
     stream_window_events: int | None = None,
 ) -> list[CoreResult]:
-    if len(member_cores) == 1 and (
-        sim_engine == "batched" or stream_window_events is not None
-    ):
+    if len(member_cores) == 1:
         # One core: no shared-L3 contention, the socket is exactly a
-        # private three-level hierarchy and the batched cascade applies
-        # (windowed through the streaming engine when requested).
-        if stream_window_events is not None:
-            from .streaming import StreamingHierarchy, iter_line_windows
+        # private three-level hierarchy and replays like a serial trace.
+        from .streaming import simulate_trace_streaming
 
-            sim = StreamingHierarchy(machine, sim_engine=sim_engine)
-            for win in iter_line_windows(streams[0], stream_window_events):
-                sim.consume(win)
-            stats = sim.stats
-            obs.add("memsim.stream.windows", sim.windows)
-            obs.gauge_set("memsim.stream.carry_events", sim.carry_events)
-        else:
-            from .batched import batched_levels
-
-            stats, _ = batched_levels(streams[0], machine)
+        stats = simulate_trace_streaming(
+            streams[0], machine, window_events=stream_window_events
+        )
         return [
             CoreResult(
                 core=int(member_cores[0]),
@@ -259,9 +242,7 @@ def simulate_multicore(
     config: RunConfig | None = None,
     affinity: str = "compact",
     quantum: int = 64,
-    engine: str | None = None,
     max_workers: int | None = None,
-    sim_engine: str | None = None,
 ) -> MulticoreResult:
     """Simulate per-core line streams on the machine's cache topology.
 
@@ -273,30 +254,23 @@ def simulate_multicore(
         A :class:`repro.config.RunConfig`; ``config.mem_engine`` selects
         the replay engine (``"sequential"`` simulates sockets one after
         the other in this process, ``"sharded"`` distributes them to
-        worker processes — per-level counts are identical either way)
-        and ``config.sim_engine`` the per-socket simulator
-        (``"reference"`` or ``"batched"``; the batched engine vectorizes
-        single-core sockets exactly and composes with either replay
-        engine).
+        worker processes — per-level counts are identical either way).
     affinity:
         ``"compact"`` or ``"scatter"`` (see module docstring).
     quantum:
         Number of consecutive accesses one core executes before the
         round-robin hands the socket to the next core; models the
         fine-grained interleaving of simultaneously running threads.
-    engine, sim_engine:
-        Deprecated shims for ``config=RunConfig(mem_engine=...)`` and
-        ``config=RunConfig(sim_engine=...)``.
     max_workers:
         Worker-process cap for the sharded engine (ignored otherwise).
     """
-    config = resolve_config(config, mem_engine=engine, sim_engine=sim_engine)
+    if config is None:
+        config = DEFAULT_RUN_CONFIG
     machine = resolve_machine(machine)
     mem_engine = config.mem_engine
     with obs.span(
         "memsim.multicore",
         mem_engine=mem_engine,
-        sim_engine=config.sim_engine,
         affinity=affinity,
         cores=len(lines_per_core),
     ):
@@ -309,7 +283,6 @@ def simulate_multicore(
                 affinity=affinity,
                 quantum=quantum,
                 max_workers=max_workers,
-                sim_engine=config.sim_engine,
                 stream_window_events=config.stream_window_events,
             )
         if mem_engine != "sequential":
@@ -328,7 +301,6 @@ def simulate_multicore(
                 [lines_per_core[c] for c in member_cores],
                 machine,
                 quantum=quantum,
-                sim_engine=config.sim_engine,
                 stream_window_events=config.stream_window_events,
             ):
                 results[cr.core] = cr

@@ -87,7 +87,6 @@ def _run_shard(args) -> tuple[list[CoreResult], list[dict], dict]:
         streams,
         machine,
         quantum,
-        sim_engine,
         stream_window_events,
         obs_on,
     ) = args
@@ -98,7 +97,6 @@ def _run_shard(args) -> tuple[list[CoreResult], list[dict], dict]:
             streams,
             machine,
             quantum=quantum,
-            sim_engine=sim_engine,
             stream_window_events=stream_window_events,
         )
         return results, [], {}
@@ -109,7 +107,6 @@ def _run_shard(args) -> tuple[list[CoreResult], list[dict], dict]:
             streams,
             machine,
             quantum=quantum,
-            sim_engine=sim_engine,
             stream_window_events=stream_window_events,
         )
     return results, tracer.export(), tracer.metrics.snapshot()
@@ -122,7 +119,6 @@ def simulate_multicore_sharded(
     affinity: str = "compact",
     quantum: int = 64,
     max_workers: int | None = None,
-    sim_engine: str = "reference",
     stream_window_events: int | None = None,
 ) -> MulticoreResult:
     """Replay per-core line streams with one worker process per socket.
@@ -144,7 +140,6 @@ def simulate_multicore_sharded(
             streams,
             machine,
             quantum,
-            sim_engine,
             stream_window_events,
             obs_on,
         )

@@ -275,7 +275,6 @@ class FusedAnalysis:
         layout: MemoryLayout,
         machine: MachineSpec,
         *,
-        sim_engine: str = "reference",
         next_line_prefetch: bool = False,
         policy: str = "lru",
         total_events: int | None = None,
@@ -285,7 +284,6 @@ class FusedAnalysis:
         self.layout = layout
         self.hierarchy = StreamingHierarchy(
             machine,
-            sim_engine=sim_engine,
             next_line_prefetch=next_line_prefetch,
             policy=policy,
         )

@@ -48,11 +48,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .. import obs
 from .batched import (
     _evicted_copies,
     _eviction_divergences,
     _LevelStream,
     _seed_state,
+    batched_levels,
+    cascade_pays,
 )
 from .cache import CacheHierarchy, HierarchyStats, LevelStats, LRUCache
 from .machine import MachineSpec
@@ -62,6 +65,7 @@ __all__ = [
     "StreamingHierarchy",
     "StreamingReuse",
     "StreamingBucketedSeries",
+    "auto_window_events",
     "iter_line_windows",
     "simulate_trace_streaming",
     "streaming_reuse_distances",
@@ -77,6 +81,19 @@ def iter_line_windows(
     arr = np.asarray(lines)
     for lo in range(0, arr.size, window_events):
         yield arr[lo : lo + window_events]
+
+
+def auto_window_events(machine: MachineSpec) -> int:
+    """Replay window for a stream held in memory.
+
+    Four times the hierarchy's line capacity, and at least 64k events:
+    each batched pass stays small, and a consequential back-invalidation
+    sends only the rest of its own window through the per-access tail,
+    not the rest of the stream. The carried state adds at most a quarter
+    of a window to each pass.
+    """
+    capacity = sum(level.num_lines for level in machine.levels())
+    return max(1 << 16, 4 * capacity)
 
 
 def _narrow(lines: np.ndarray) -> np.ndarray:
@@ -123,32 +140,26 @@ class StreamingHierarchy:
     """Windowed hierarchy simulation with carry-over state.
 
     Feed bounded windows via :meth:`consume`; :attr:`stats` accumulates
-    per-level counts that are bit-identical to running the selected
-    in-memory engine over the concatenated stream. ``sim_engine`` picks
-    the per-window engine (``"batched"`` = prefix-injected stack
-    distances, ``"reference"`` = a persistent
-    :class:`~repro.memsim.cache.CacheHierarchy`). Non-LRU policies and
-    next-line prefetch are outside the stack-distance model and route
-    through the persistent reference hierarchy, which is trivially
-    streaming-exact.
+    per-level counts that are bit-identical to running the in-memory
+    engines over the concatenated stream. LRU windows run the batched
+    engine with prefix-injected stack distances; non-LRU policies,
+    next-line prefetch (both outside the stack-distance model) and
+    machines where the cascade does not pay
+    (:func:`~repro.memsim.batched.cascade_pays`) route through a
+    persistent :class:`~repro.memsim.cache.CacheHierarchy`, which is
+    trivially streaming-exact.
     """
 
     def __init__(
         self,
         machine: MachineSpec,
         *,
-        sim_engine: str = "reference",
         next_line_prefetch: bool = False,
         policy: str = "lru",
     ) -> None:
-        if sim_engine not in ("reference", "batched"):
-            raise ValueError(f"unknown sim engine {sim_engine!r}")
         self.machine = machine
-        self.sim_engine = sim_engine
         self._batched = (
-            sim_engine == "batched"
-            and policy == "lru"
-            and not next_line_prefetch
+            policy == "lru" and not next_line_prefetch and cascade_pays(machine)
         )
         self.windows = 0
         self.events = 0
@@ -281,21 +292,32 @@ def simulate_trace_streaming(
     lines: np.ndarray,
     machine: MachineSpec,
     *,
-    window_events: int,
-    sim_engine: str = "reference",
+    window_events: int | None = None,
     next_line_prefetch: bool = False,
     policy: str = "lru",
 ) -> HierarchyStats:
     """Simulate a line stream in bounded windows; counts are bit-identical
-    to the in-memory engines over the same stream."""
+    to the in-memory engines over the same stream.
+
+    The window defaults to :func:`auto_window_events`; a cascade stream
+    that fits in one such window runs whole through
+    :func:`~repro.memsim.batched.batched_levels`, which skips the carry
+    state only a next window would read.
+    """
     sim = StreamingHierarchy(
         machine,
-        sim_engine=sim_engine,
         next_line_prefetch=next_line_prefetch,
         policy=policy,
     )
+    if window_events is None:
+        window_events = auto_window_events(machine)
+        if sim._batched and np.asarray(lines).size <= window_events:
+            return batched_levels(lines, machine)[0]
     for window in iter_line_windows(lines, window_events):
         sim.consume(window)
+    obs.add("memsim.stream.windows", sim.windows)
+    obs.gauge_set("memsim.stream.peak_window_events", sim.peak_window_events)
+    obs.gauge_set("memsim.stream.carry_events", sim.carry_events)
     return sim.stats
 
 

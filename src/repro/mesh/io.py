@@ -22,8 +22,10 @@ Vertex ids may start at 0 or 1; we detect and normalise to 0-based.
 
 The readers refuse a malformed file (bad header, counts that do not
 match the data lines, unparsable or missing fields, out-of-range vertex
-ids) or a non-finite coordinate with :class:`MeshValidationError`,
-naming the file.
+ids), a non-finite coordinate, or a mesh that fails
+:func:`~repro.mesh.validate.validate_mesh` (repeated or duplicated
+triangles, degenerate elements, no interior vertex) with
+:class:`MeshValidationError`, naming the file.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .trimesh import TriMesh
-from .validate import MeshValidationError, nonfinite_vertices
+from .validate import MeshValidationError, nonfinite_vertices, validate_mesh
 
 __all__ = [
     "write_triangle",
@@ -57,6 +59,15 @@ def _parsing(path: Path):
         raise
     except (ValueError, IndexError, KeyError, TypeError) as exc:
         raise MeshValidationError(f"{path}: malformed mesh file: {exc}") from exc
+
+
+def _validated(path: Path, mesh: TriMesh) -> TriMesh:
+    """``mesh`` once :func:`validate_mesh` accepts it; its refusal is
+    re-raised naming the file."""
+    try:
+        return validate_mesh(mesh)
+    except MeshValidationError as exc:
+        raise MeshValidationError(f"{path}: {exc}") from None
 
 
 def _array(rows, dtype, width: int) -> np.ndarray:
@@ -155,7 +166,8 @@ def read_triangle(stem: str | Path, name: str = "") -> TriMesh:
             [[int(row[1]), int(row[2]), int(row[3])] for row in tri_body],
             np.int64, 3,
         )
-        return TriMesh(coords, tris - base, name=name or stem.name)
+        mesh = TriMesh(coords, tris - base, name=name or stem.name)
+    return _validated(ele_path, mesh)
 
 
 def write_off(mesh: TriMesh, path: str | Path) -> Path:
@@ -198,7 +210,8 @@ def read_off(path: str | Path, name: str = "") -> TriMesh:
                     f"{path}: only triangular OFF faces are supported"
                 )
             tris.append([int(row[1]), int(row[2]), int(row[3])])
-        return TriMesh(coords, _array(tris, np.int64, 3), name=name or path.stem)
+        mesh = TriMesh(coords, _array(tris, np.int64, 3), name=name or path.stem)
+    return _validated(path, mesh)
 
 
 def write_json(mesh: TriMesh, path: str | Path) -> Path:
@@ -219,8 +232,9 @@ def read_json(path: str | Path) -> TriMesh:
     text = path.read_text()
     with _parsing(path):
         payload = json.loads(text)
-        return TriMesh(
+        mesh = TriMesh(
             _finite(path, payload["vertices"]),
             _array(payload["triangles"], np.int64, 3),
             name=payload.get("name", ""),
         )
+    return _validated(path, mesh)

@@ -5,16 +5,16 @@ Importing this package registers: ``ori``, ``random``, ``bfs``, ``rbfs``,
 paper's contribution, ``rdr``, registers on import of :mod:`repro.core`
 (or the top-level :mod:`repro` package).
 
-Each name is additionally available under the ``order_engine`` axis:
-``get_ordering(name, order_engine="batched")`` resolves the vectorized
-frontier/plan-based implementation (:mod:`~repro.ordering.batched`)
-when one is registered, with a guaranteed-identical permutation; names
-without a batched variant fall back to the reference function.
+``get_ordering(name)`` resolves the vectorized frontier/plan-based
+implementation (:mod:`~repro.ordering.batched`) when one is registered,
+with a guaranteed-identical permutation; names without a batched
+variant are served by their (already array-based) reference function,
+and every reference function stays registered in ``ORDERINGS`` as a
+test oracle.
 """
 
 from .base import (
     BATCHED_ORDERINGS,
-    ORDER_ENGINES,
     ORDERINGS,
     OrderingFn,
     apply_ordering,
@@ -52,7 +52,6 @@ __all__ = [
     "BATCHED_ORDERINGS",
     "FrontierPlan",
     "ORDERINGS",
-    "ORDER_ENGINES",
     "OrderingFn",
     "apply_ordering",
     "batched_bfs_ordering",

@@ -16,13 +16,12 @@ by name so benchmark parameterisations stay declarative.
 Each name may additionally have a *batched* implementation — a NumPy
 frontier/plan-based reimplementation registered via
 :func:`register_batched_ordering` that returns **exactly the same
-permutation** as the reference function (the differential suite in
-``tests/ordering/test_order_engines.py`` pins this element-wise).  The
-``order_engine`` axis selects between them: ``"reference"`` always uses
-the registry above; ``"batched"`` prefers the batched implementation
-and silently falls back to the reference one for names that have no
-batched variant (their reference form is already array-based), so every
-registered name works under either engine.
+permutation** as the reference function (the ordering differential
+suite pins this element-wise).
+:func:`get_ordering` serves the batched implementation where one is
+registered and the reference function otherwise (its form is already
+array-based); the reference functions stay in :data:`ORDERINGS` as the
+oracles the batched ones are checked against.
 """
 
 from __future__ import annotations
@@ -31,14 +30,12 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from ..config import UnknownNameError
 from ..mesh import TriMesh
 
 __all__ = [
     "OrderingFn",
     "ORDERINGS",
     "BATCHED_ORDERINGS",
-    "ORDER_ENGINES",
     "register_ordering",
     "register_batched_ordering",
     "get_ordering",
@@ -46,9 +43,6 @@ __all__ = [
     "invert_permutation",
     "check_permutation",
 ]
-
-#: Valid values of the ``order_engine`` axis.
-ORDER_ENGINES = ("reference", "batched")
 
 
 class OrderingFn(Protocol):
@@ -72,8 +66,7 @@ ORDERINGS: dict[str, OrderingFn] = {}
 
 #: Batched (vectorized, exact-equivalent) implementations, keyed by the
 #: same names as :data:`ORDERINGS`.  Sparse by design: names without an
-#: entry fall back to the reference function under
-#: ``order_engine="batched"``.
+#: entry are served by the reference function.
 BATCHED_ORDERINGS: dict[str, OrderingFn] = {}
 
 
@@ -105,26 +98,20 @@ def register_batched_ordering(name: str) -> Callable[[OrderingFn], OrderingFn]:
     return deco
 
 
-def get_ordering(name: str, *, order_engine: str = "reference") -> OrderingFn:
+def get_ordering(name: str) -> OrderingFn:
     """Look up a registered ordering by name.
 
-    ``order_engine="batched"`` returns the batched implementation when
-    one is registered and the reference function otherwise (both produce
-    the same permutation).  Unknown ordering names raise ``KeyError``
-    listing the choices; unknown engine names raise
-    :class:`repro.config.UnknownNameError`.
+    Returns the batched implementation when one is registered and the
+    reference function otherwise (both produce the same permutation).
+    Unknown ordering names raise ``KeyError`` listing the choices.
     """
-    if order_engine not in ORDER_ENGINES:
-        raise UnknownNameError("order engine", order_engine, ORDER_ENGINES)
     try:
         fn = ORDERINGS[name]
     except KeyError:
         raise KeyError(
             f"unknown ordering {name!r}; available: {sorted(ORDERINGS)}"
         ) from None
-    if order_engine == "batched":
-        return BATCHED_ORDERINGS.get(name, fn)
-    return fn
+    return BATCHED_ORDERINGS.get(name, fn)
 
 
 def apply_ordering(
@@ -133,11 +120,9 @@ def apply_ordering(
     *,
     seed: int = 0,
     qualities: np.ndarray | None = None,
-    order_engine: str = "reference",
 ) -> tuple[TriMesh, np.ndarray]:
     """Compute an ordering and return ``(permuted_mesh, order)``."""
-    fn = get_ordering(name, order_engine=order_engine)
-    order = fn(mesh, seed=seed, qualities=qualities)
+    order = get_ordering(name)(mesh, seed=seed, qualities=qualities)
     return mesh.permute(order), order
 
 

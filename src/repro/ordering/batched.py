@@ -32,8 +32,8 @@ This module re-executes the same traversals one *frontier* at a time:
   permutation without it, just a few times slower.
 
 Every function here returns permutations **identical** to its reference
-counterpart (``tests/ordering/test_order_engines.py`` pins this
-element-wise across domains and seeds); the speedup on the 50k unit
+counterpart (the ordering differential suite pins this element-wise
+across domains and seeds); the speedup on the 50k unit
 square is gated by ``benchmarks/test_ordering_speedup.py``.
 """
 

@@ -2,7 +2,6 @@
 
 from .laplacian import (
     DEFAULT_CONVERGENCE_TOL,
-    ENGINES,
     LaplacianSmoother,
     SmoothingResult,
     laplacian_smooth,
@@ -19,7 +18,6 @@ from .vectorized import WavefrontPlan, csr_segment_mean, smooth_wavefronts
 
 __all__ = [
     "DEFAULT_CONVERGENCE_TOL",
-    "ENGINES",
     "LaplacianSmoother",
     "SmoothingResult",
     "TRAVERSALS",

@@ -11,7 +11,10 @@ Two update disciplines are provided:
     In-place sequential updates, matching the real Mesquite-style kernel
     whose access trace the paper studies. The traversal policy
     (``storage`` or ``greedy``; see :mod:`repro.smoothing.traversal`)
-    decides the visit order.
+    decides the visit order; the sweep runs as NumPy wavefront batches
+    (:mod:`repro.smoothing.vectorized`) that reproduce the per-vertex
+    loop's coordinates to ``rtol=1e-12`` (the scalar loop survives as
+    the test oracle the differential suite compares against).
 ``jacobi``
     Fully vectorized sweep from the previous iterate; used by the
     wall-clock parallel harness where all threads update concurrently.
@@ -29,32 +32,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..config import RunConfig, resolve_config
+from ..config import RunConfig
 from ..mesh import TriMesh
 from ..memsim.trace import AccessTrace, TraceBuilder
 from ..quality import DEFAULT_RANK_PASSES, global_quality, patch_quality, vertex_quality
-from .trace import (
-    append_smooth_accesses,
-    append_smooth_accesses_batch,
-    iter_traversal_chunks,
-)
+from .trace import append_smooth_accesses_batch, iter_traversal_chunks
 from .traversal import make_traversal
 from .vectorized import WavefrontPlan
 
 __all__ = [
     "DEFAULT_CONVERGENCE_TOL",
-    "ENGINES",
     "SmoothingResult",
     "LaplacianSmoother",
     "smooth_iteration_jacobi",
     "laplacian_smooth",
 ]
-
-#: Execution engines of the smoother. ``reference`` is the scalar
-#: per-vertex loop the paper's access model is written against;
-#: ``vectorized`` performs the same updates as NumPy wavefront batches
-#: (differentially tested equivalent, ``rtol=1e-12``).
-ENGINES = ("reference", "vectorized")
 
 #: The paper's quality convergence criterion (Section 5.1).
 DEFAULT_CONVERGENCE_TOL = 5e-6
@@ -149,9 +141,7 @@ class LaplacianSmoother:
         :func:`repro.quality.patch_quality`); the convergence criterion
         always uses the raw global quality.
     config:
-        A :class:`repro.config.RunConfig`; its ``engine`` field selects
-        the execution engine (the bare ``engine=`` keyword is a
-        deprecated shim for it).
+        Accepted like every other entry point's ``config=`` and ignored.
     record_trace:
         Emit the logical access trace alongside the numeric result.
     culling:
@@ -174,11 +164,6 @@ class LaplacianSmoother:
         never closes it, and ``SmoothingResult.trace`` stays ``None``.
         This is how the fused/spill trace modes bound the events in
         flight. Implies trace emission regardless of ``record_trace``.
-    engine:
-        ``"reference"`` (scalar per-vertex loop) or ``"vectorized"``
-        (NumPy wavefront batches; same traversals, same traces, same
-        coordinates to ``rtol=1e-12`` — see
-        :mod:`repro.smoothing.vectorized`).
     """
 
     def __init__(
@@ -196,21 +181,13 @@ class LaplacianSmoother:
         culling: bool = False,
         cull_tol: float | None = None,
         trace_sink=None,
-        engine: str | None = None,
     ):
-        config = resolve_config(config, engine=engine)
         if update not in ("gauss-seidel", "jacobi"):
             raise ValueError(f"unknown update discipline {update!r}")
         if greedy_qualities not in ("current", "initial"):
             raise ValueError(f"unknown greedy_qualities {greedy_qualities!r}")
         if culling and update != "gauss-seidel":
             raise ValueError("culling requires the gauss-seidel update")
-        if config.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {config.engine!r}; choose from {ENGINES}"
-            )
-        self.config = config
-        self.engine = config.engine
         self.traversal = traversal
         self.update = update
         self.tol = tol
@@ -228,13 +205,12 @@ class LaplacianSmoother:
 
         When tracing is active, the run emits a ``smooth.run`` span with
         one ``smooth.iteration`` child per sweep, a
-        ``smoothing.vertices_smoothed`` counter, and (vectorized engine)
-        a live ``smoothing.wavefront_width`` histogram.
+        ``smoothing.vertices_smoothed`` counter, and a live
+        ``smoothing.wavefront_width`` histogram.
         """
         with obs.span(
             "smooth.run",
             mesh=mesh.name,
-            engine=self.engine,
             traversal=self.traversal,
             update=self.update,
         ) as sp:
@@ -258,16 +234,7 @@ class LaplacianSmoother:
             builder = self.trace_sink
         else:
             builder = TraceBuilder() if self.record_trace else None
-        # Sinks with a burst bound get each iteration's batch in chunks
-        # so the event columns in flight stay bounded (fused/spill).
-        burst = getattr(builder, "burst_events", None)
-
-        def emit_batch(seq: np.ndarray) -> None:
-            if burst is None:
-                append_smooth_accesses_batch(builder, xadj, adjncy, seq)
-            else:
-                for chunk in iter_traversal_chunks(xadj, seq, burst):
-                    append_smooth_accesses_batch(builder, xadj, adjncy, chunk)
+        gauss_seidel = self._gauss_seidel_sweep(xadj, adjncy)
 
         traversals: list[np.ndarray] = []
         active_counts: list[int] = []
@@ -275,12 +242,6 @@ class LaplacianSmoother:
         iterations = 0
 
         cull_tol = self.cull_tol
-        # Wavefront schedule of the vectorized engine, cached across
-        # iterations that reuse an identical traversal sequence (storage
-        # traversals and greedy_qualities="initial" without culling
-        # never change it).
-        wf_seq: np.ndarray | None = None
-        wf_plan: WavefrontPlan | None = None
         active: np.ndarray | None = None
         if self.culling:
             if cull_tol is None:
@@ -326,43 +287,14 @@ class LaplacianSmoother:
                 "smooth.iteration", index=iterations, active=int(seq.size)
             ):
                 obs.add("smoothing.vertices_smoothed", int(seq.size))
+                if builder is not None:
+                    self._emit(builder, xadj, adjncy, seq)
                 if self.update == "jacobi":
                     coords = smooth_iteration_jacobi(
                         coords, xadj, adjncy, interior_mask
                     )
-                    if builder is not None:
-                        if self.engine == "vectorized":
-                            emit_batch(seq)
-                        else:
-                            for v in seq.tolist():
-                                append_smooth_accesses(builder, xadj, adjncy, v)
-                elif self.engine == "vectorized":
-                    if builder is not None:
-                        emit_batch(seq)
-                    if wf_seq is None or not np.array_equal(seq, wf_seq):
-                        from ..parallel.scheduler import wavefront_schedule
-
-                        wf_seq = seq
-                        batched, offsets = wavefront_schedule(seq, xadj, adjncy)
-                        obs.observe(
-                            "smoothing.wavefront_width", np.diff(offsets)
-                        )
-                        wf_plan = WavefrontPlan(xadj, adjncy, batched, offsets)
-                    wf_plan.execute(coords, cull_tol=cull_tol, moved=moved)
                 else:
-                    for v in seq.tolist():
-                        if builder is not None:
-                            append_smooth_accesses(builder, xadj, adjncy, v)
-                        lo, hi = xadj[v], xadj[v + 1]
-                        if hi > lo:
-                            new = coords[adjncy[lo:hi]].mean(axis=0)
-                            if moved is not None and (
-                                abs(new[0] - coords[v, 0])
-                                + abs(new[1] - coords[v, 1])
-                                > cull_tol
-                            ):
-                                moved[v] = True
-                            coords[v] = new
+                    gauss_seidel(coords, seq, cull_tol, moved)
 
             iterations += 1
             work = mesh.with_vertices(coords)
@@ -414,14 +346,48 @@ class LaplacianSmoother:
             active_counts=active_counts,
         )
 
+    @staticmethod
+    def _emit(
+        builder, xadj: np.ndarray, adjncy: np.ndarray, seq: np.ndarray
+    ) -> None:
+        """Append one sweep's access events for the vertices ``seq``.
+
+        Sinks with a burst bound get the batch in chunks so the event
+        columns in flight stay bounded (fused/spill).
+        """
+        burst = getattr(builder, "burst_events", None)
+        if burst is None:
+            append_smooth_accesses_batch(builder, xadj, adjncy, seq)
+            return
+        for chunk in iter_traversal_chunks(xadj, seq, burst):
+            append_smooth_accesses_batch(builder, xadj, adjncy, chunk)
+
+    @staticmethod
+    def _gauss_seidel_sweep(xadj: np.ndarray, adjncy: np.ndarray):
+        """The in-place Gauss-Seidel sweep ``(coords, seq, cull_tol,
+        moved)`` as NumPy wavefront batches.
+
+        The wavefront schedule is cached across iterations that reuse an
+        identical traversal sequence (storage traversals and
+        ``greedy_qualities="initial"`` without culling never change it).
+        """
+        from ..parallel.scheduler import wavefront_schedule
+
+        cached: dict = {}
+
+        def sweep(coords, seq, cull_tol, moved) -> None:
+            if "seq" not in cached or not np.array_equal(seq, cached["seq"]):
+                batched, offsets = wavefront_schedule(seq, xadj, adjncy)
+                obs.observe("smoothing.wavefront_width", np.diff(offsets))
+                cached["seq"] = seq
+                cached["plan"] = WavefrontPlan(xadj, adjncy, batched, offsets)
+            cached["plan"].execute(coords, cull_tol=cull_tol, moved=moved)
+
+        return sweep
+
 
 def laplacian_smooth(
     mesh: TriMesh, *, config: RunConfig | None = None, **kwargs
 ) -> SmoothingResult:
-    """Convenience wrapper: ``LaplacianSmoother(**kwargs).smooth(mesh)``.
-
-    The deprecated ``engine=`` keyword is resolved here (not in the
-    smoother) so the warning points at the caller.
-    """
-    config = resolve_config(config, engine=kwargs.pop("engine", None))
+    """Convenience wrapper: ``LaplacianSmoother(**kwargs).smooth(mesh)``."""
     return LaplacianSmoother(config=config, **kwargs).smooth(mesh)

@@ -1,7 +1,7 @@
-"""The vectorized smoothing engine (``engine="vectorized"``).
+"""The smoother's vectorized kernels.
 
-The reference engine smooths one vertex at a time in interpreted Python;
-this module performs the same updates as NumPy batch operations:
+The paper's kernel smooths one vertex at a time; this module performs
+the same updates as NumPy batch operations:
 
 * :func:`csr_segment_mean` — the neighbor-centroid of many vertices at
   once: one fancy-indexed gather of all neighbor coordinates followed by
@@ -20,10 +20,8 @@ A :class:`WavefrontPlan` precomputes, per level, the flattened neighbor
 gather indices and segment boundaries, so an iteration that reuses a
 traversal (storage traversals, ``greedy_qualities="initial"``) costs
 only gather + segment-sum + scatter per level. The Jacobi discipline
-needs no scheduling — it is the single batch ``smooth_iteration_jacobi``
-already used by the reference engine — so under ``engine="vectorized"``
-only its trace recording changes (the batched builder of
-:func:`repro.smoothing.trace.append_smooth_accesses_batch`).
+needs no scheduling — it is the single batch
+``smooth_iteration_jacobi``.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ def csr_segment_mean(
     """Neighbor centroid of each vertex in ``verts`` (all with degree > 0).
 
     Sums run left-to-right over each adjacency slice, matching the
-    arithmetic of the reference kernel's per-vertex
+    arithmetic of the scalar per-vertex kernel's
     ``coords[adjncy[lo:hi]].mean(axis=0)``.
     """
     starts = xadj[verts]
@@ -111,7 +109,7 @@ class WavefrontPlan:
 
         When ``moved`` is given (culling), vertices whose L1
         displacement exceeds ``cull_tol`` are flagged, mirroring the
-        reference engine's test.
+        scalar per-vertex loop's test.
         """
         for level, nbrs, row_starts, divisor in self.levels:
             sums = np.add.reduceat(coords[nbrs], row_starts, axis=0)

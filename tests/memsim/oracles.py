@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.memsim.cache import CacheHierarchy, LRUCache
+from repro.memsim.multicore import affinity_sockets
 from repro.memsim.reuse import COLD, previous_occurrence
 
 
@@ -43,3 +45,25 @@ def fenwick_reuse_distances(stream) -> np.ndarray:
             tree[i] += 1
             i += i & (-i)
     return out
+
+
+def reference_multicore_stats(streams, machine, affinity, quantum=64) -> list:
+    """Per-core :class:`HierarchyStats` of a multicore replay done
+    entirely by :class:`CacheHierarchy`: each socket's cores interleave
+    round-robin, ``quantum`` accesses at a time, through private L1/L2
+    and one shared L3 (single-core sockets included)."""
+    streams = [np.asarray(s, dtype=np.int64).tolist() for s in streams]
+    sockets = affinity_sockets(len(streams), machine, affinity)
+    stats = [None] * len(streams)
+    for socket in np.unique(sockets):
+        cores = np.flatnonzero(sockets == socket).tolist()
+        shared = LRUCache(machine.l3)
+        hierarchies = [CacheHierarchy(machine, shared_l3=shared) for _ in cores]
+        longest = max(len(streams[c]) for c in cores)
+        for lo in range(0, longest, quantum):
+            for core, hierarchy in zip(cores, hierarchies):
+                for line in streams[core][lo : lo + quantum]:
+                    hierarchy.access(line)
+        for core, hierarchy in zip(cores, hierarchies):
+            stats[core] = hierarchy.stats
+    return stats

@@ -24,15 +24,15 @@ from hypothesis import strategies as st
 from repro import RunConfig, obs
 from repro.memsim import batched as batched_module
 from repro.memsim import (
-    SIM_ENGINES,
     batched_levels,
     simulate_multicore,
     simulate_trace,
-    simulate_trace_batched,
     westmere_ex,
 )
 from repro.memsim.cache import CacheHierarchy
 from repro.memsim.machine import CacheSpec, MachineSpec
+
+from .oracles import reference_multicore_stats
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 sys.path.insert(0, str(FIXTURES))
@@ -114,10 +114,10 @@ class TestBatchedMatchesReference:
         # the exactness contract holds regardless of the route taken.
         machine = toy_machine(*geometry)
         arr = np.asarray(lines, dtype=np.int64)
-        ref = simulate_trace(
-            arr, machine, next_line_prefetch=prefetch, policy=policy
-        )
-        got = simulate_trace_batched(
+        ref = CacheHierarchy(
+            machine, next_line_prefetch=prefetch, policy=policy
+        ).run(arr)
+        got = simulate_trace(
             arr, machine, next_line_prefetch=prefetch, policy=policy
         )
         assert_stats_equal(ref, got)
@@ -129,21 +129,16 @@ class TestBatchedMatchesReference:
     )
     @settings(max_examples=25, deadline=None)
     def test_shared_l3_multicore(self, per_core, geometry, affinity):
-        # compact packs cores onto shared-L3 sockets (reference
-        # interleave path); scatter produces single-core sockets where
-        # the batched cascade applies — both must match exactly.
+        # compact packs cores onto shared-L3 sockets (interleaved
+        # replay); scatter produces single-core sockets where the
+        # batched cascade applies — both must match the oracle exactly.
         machine = toy_machine(*geometry, cores_per_socket=2, num_sockets=2)
         arrs = [np.asarray(s, dtype=np.int64) for s in per_core]
-        ref = simulate_multicore(arrs, machine, affinity=affinity)
-        got = simulate_multicore(
-            arrs, machine, affinity=affinity,
-            config=RunConfig(sim_engine="batched"),
-        )
-        assert len(ref.per_core) == len(got.per_core)
-        for cr_ref, cr_got in zip(ref.per_core, got.per_core):
-            assert (cr_ref.core, cr_ref.socket) == (cr_got.core, cr_got.socket)
-            assert_stats_equal(cr_ref.stats, cr_got.stats)
-        assert ref.access_counts() == got.access_counts()
+        ref = reference_multicore_stats(arrs, machine, affinity)
+        got = simulate_multicore(arrs, machine, affinity=affinity)
+        assert [cr.core for cr in got.per_core] == list(range(len(arrs)))
+        for cr_ref, cr_got in zip(ref, got.per_core):
+            assert_stats_equal(cr_ref, cr_got.stats)
 
 
 #: Few sets, so the scan stage meets long same-set windows.
@@ -233,9 +228,7 @@ class TestBatchedGolden:
         machine = westmere_ex(scale=config["machine_scale"])
         with np.load(FIXTURE_DIR / f"{name}.npz") as fixture:
             lines = fixture["lines"]
-        stats = simulate_trace(
-            lines, machine, config=RunConfig(sim_engine="batched")
-        )
+        stats = simulate_trace(lines, machine)
         want = golden_stats[name]["levels"]
         for level in stats.levels():
             assert level.accesses == want[level.name]["accesses"]
@@ -243,15 +236,10 @@ class TestBatchedGolden:
 
 
 class TestEngineSelection:
-    def test_sim_engines_registry(self):
-        assert SIM_ENGINES == ("reference", "batched")
-
     def test_unknown_engine_rejected(self):
-        machine = toy_machine(*GEOMETRIES[0])
-        with pytest.raises(ValueError, match="sim engine"):
-            simulate_trace(
-                np.arange(4), machine, config=RunConfig(sim_engine="nope")
-            )
+        # The simulator has one path; the retired selector is refused.
+        with pytest.raises(TypeError, match="sim_engine"):
+            RunConfig(sim_engine="batched")
 
     def test_empty_stream(self):
         machine = toy_machine(*GEOMETRIES[0])

@@ -4,8 +4,10 @@ The fused trace pipeline's contract is *bit-for-bit exactness*: a
 smoother emitting bounded windows through :class:`FusedSink` into
 :class:`FusedAnalysis` must reproduce the materialized path's per-level
 cache counts, reuse profiles (global and per-iteration) and bucketed
-series exactly — any window size, either sim engine, every registered
-machine profile, threaded or synchronous handoff. The streaming suites
+series exactly — any window size, every registered machine profile,
+threaded or synchronous handoff — and its cache counts must equal both
+the batched in-memory simulator's and the per-access
+:class:`~repro.memsim.CacheHierarchy` replay's. The streaming suites
 (``test_streaming.py``) pin each consumer engine individually; this
 suite pins the *composition* the fused pipeline actually runs, the
 double-buffer handoff included, plus the partially-fused multicore
@@ -20,6 +22,7 @@ import pytest
 from repro.config import RunConfig, UnknownNameError
 from repro.core.pipeline import run_ordering, run_parallel_ordering
 from repro.memsim import (
+    CacheHierarchy,
     FusedAnalysis,
     FusedSink,
     LineSink,
@@ -92,15 +95,15 @@ def produce_through_sink(sink, mesh):
 
 class TestFusedExactness:
     @pytest.mark.parametrize("machine_name,machine", list(machines()))
-    @pytest.mark.parametrize("sim_engine", ["reference", "batched"])
+    @pytest.mark.parametrize("in_memory", ["reference", "batched"])
     def test_matches_materialized(
-        self, materialized, machine_name, machine, sim_engine
+        self, materialized, machine_name, machine, in_memory
     ):
         mesh, trace, layout, lines = materialized
         want_stats = stats_tuple(
-            simulate_trace(
-                lines, machine, config=RunConfig(sim_engine=sim_engine)
-            )
+            CacheHierarchy(machine).run(lines)
+            if in_memory == "reference"
+            else simulate_trace(lines, machine)
         )
         distances = reuse_distances(lines)
         want_bucketed = bucketed_series(distances)
@@ -114,14 +117,11 @@ class TestFusedExactness:
         ]
         for window in windows_for(len(trace)):
             analysis = FusedAnalysis(
-                layout,
-                machine,
-                sim_engine=sim_engine,
-                total_events=len(trace),
+                layout, machine, total_events=len(trace)
             )
             sink = FusedSink(analysis, window_events=window)
             assert produce_through_sink(sink, mesh) is analysis
-            label = f"{machine_name}/{sim_engine} window {window}"
+            label = f"{machine_name}/{in_memory} window {window}"
             assert stats_tuple(analysis.stats) == want_stats, label
             assert analysis.reuse.num_accesses == len(trace)
             # Profiles: global and per-iteration, bit-identical rows.

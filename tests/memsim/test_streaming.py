@@ -5,9 +5,11 @@ line stream window by window — any window size — must reproduce the
 in-memory engines' hierarchy counts, reuse distances, profiles and
 bucketed series exactly. The tests sweep the window sizes the design
 calls out as adversarial (one event, a prime, exactly the stream
-length, larger than the stream), every registered machine profile, both
-``sim_engine`` values, and geometries whose inclusive back-invalidations
-force the streaming engine through its divergence-commit path.
+length, larger than the stream), every registered machine profile, and
+geometries whose inclusive back-invalidations force the streaming
+engine through its divergence-commit path. The in-memory side is the
+per-access :class:`~repro.memsim.CacheHierarchy` replay (the oracle)
+and, where named, the batched simulator behind ``simulate_trace``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from repro.memsim import (
     simulate_trace_streaming,
     tiny_machine,
 )
+from repro.memsim import batched
+from repro.memsim.batched import cascade_pays
 from repro.memsim.machine import CacheSpec, MachineSpec
+
+from .conftest import PRODUCTION_L2_RATIO
+from .oracles import reference_multicore_stats
 
 #: The adversarial window sizes of the design: single-event, prime,
 #: exactly the stream, larger than the stream (n is appended at runtime).
@@ -82,27 +89,28 @@ def windows_for(n):
 
 class TestHierarchyExactness:
     @pytest.mark.parametrize("machine_name,machine", list(machines()))
-    @pytest.mark.parametrize("sim_engine", ["reference", "batched"])
+    @pytest.mark.parametrize("in_memory", ["reference", "batched"])
     def test_matches_in_memory_on_random_streams(
-        self, machine_name, machine, sim_engine
+        self, machine_name, machine, in_memory
     ):
-        rng = np.random.default_rng(hash((machine_name, sim_engine)) % 2**32)
+        rng = np.random.default_rng(hash((machine_name, in_memory)) % 2**32)
         for trial in range(8):
             n = int(rng.integers(1, 400))
             span = int(rng.integers(2, 4 * machine.l1.num_lines + 2))
             lines = rng.integers(0, span, size=n).astype(np.int64)
-            want = stats_tuple(CacheHierarchy(machine).run(lines))
+            want = stats_tuple(
+                CacheHierarchy(machine).run(lines)
+                if in_memory == "reference"
+                else simulate_trace(lines, machine)
+            )
             for window in windows_for(n):
                 got = stats_tuple(
                     simulate_trace_streaming(
-                        lines,
-                        machine,
-                        window_events=window,
-                        sim_engine=sim_engine,
+                        lines, machine, window_events=window
                     )
                 )
                 assert got == want, (
-                    f"{machine_name}/{sim_engine} trial {trial} "
+                    f"{machine_name}/{in_memory} trial {trial} "
                     f"window {window}"
                 )
 
@@ -118,10 +126,7 @@ class TestHierarchyExactness:
             for window in windows_for(n):
                 got = stats_tuple(
                     simulate_trace_streaming(
-                        lines,
-                        machine,
-                        window_events=window,
-                        sim_engine="batched",
+                        lines, machine, window_events=window
                     )
                 )
                 assert got == want
@@ -145,9 +150,7 @@ class TestHierarchyExactness:
         lines = rng.integers(0, 9, size=400).astype(np.int64)
         want = stats_tuple(CacheHierarchy(machine).run(lines))
         got = stats_tuple(
-            simulate_trace_streaming(
-                lines, machine, window_events=32, sim_engine="batched"
-            )
+            simulate_trace_streaming(lines, machine, window_events=32)
         )
         assert got == want
         assert calls["n"] > 0
@@ -167,7 +170,6 @@ class TestHierarchyExactness:
                     lines,
                     machine,
                     window_events=37,
-                    sim_engine="batched",
                     **kwargs,
                 )
             )
@@ -175,7 +177,7 @@ class TestHierarchyExactness:
 
     def test_empty_and_tiny_streams(self):
         machine = tiny_machine()
-        sim = StreamingHierarchy(machine, sim_engine="batched")
+        sim = StreamingHierarchy(machine)
         sim.consume(np.empty(0, dtype=np.int64))
         assert stats_tuple(sim.stats) == ((0, 0), (0, 0), (0, 0))
         sim.consume(np.array([3]))
@@ -187,8 +189,8 @@ class TestHierarchyExactness:
             list(iter_line_windows(np.arange(4), 0))
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="sim engine"):
-            StreamingHierarchy(tiny_machine(), sim_engine="nope")
+        with pytest.raises(TypeError, match="sim_engine"):
+            StreamingHierarchy(tiny_machine(), sim_engine="batched")
 
 
 class TestConfigRouting:
@@ -196,13 +198,29 @@ class TestConfigRouting:
         machine = tiny_machine()
         rng = np.random.default_rng(11)
         lines = rng.integers(0, 64, size=500).astype(np.int64)
-        want = stats_tuple(simulate_trace(lines, machine))
-        for sim_engine in ("reference", "batched"):
-            config = RunConfig(
-                sim_engine=sim_engine, stream_window_events=61
-            )
-            got = stats_tuple(simulate_trace(lines, machine, config=config))
-            assert got == want
+        want = stats_tuple(CacheHierarchy(machine).run(lines))
+        config = RunConfig(stream_window_events=61)
+        got = stats_tuple(simulate_trace(lines, machine, config=config))
+        assert got == want
+
+    def test_narrow_l2_machines_replay_per_access(self, monkeypatch):
+        # At the production threshold an L2 of 2x L1 replays per access
+        # (no batched carry state), one of 8x L1 runs the cascade; the
+        # counts are the oracle's either way.
+        monkeypatch.setattr(batched, "MIN_CASCADE_L2_RATIO", PRODUCTION_L2_RATIO)
+        lines = np.random.default_rng(29).integers(0, 96, size=600)
+        for geometry, cascade in (
+            ((1, 2, 1, 4, 2, 4), False),
+            ((1, 2, 4, 4, 8, 4), True),
+        ):
+            machine = toy_machine(*geometry)
+            assert cascade_pays(machine) is cascade
+            sim = StreamingHierarchy(machine)
+            sim.consume(lines)
+            assert (sim.carry_events > 0) is cascade
+            want = stats_tuple(CacheHierarchy(machine).run(lines))
+            assert stats_tuple(sim.stats) == want
+            assert stats_tuple(simulate_trace(lines, machine)) == want
 
     def test_run_config_validates_window(self):
         RunConfig(stream_window_events=None).validate()
@@ -224,20 +242,14 @@ class TestConfigRouting:
             )
             for _ in range(3)
         ]
-        want = simulate_multicore(streams, machine, affinity=affinity)
-        config = RunConfig(
-            mem_engine=mem_engine,
-            sim_engine="batched",
-            stream_window_events=17,
-        )
+        want = reference_multicore_stats(streams, machine, affinity)
+        config = RunConfig(mem_engine=mem_engine, stream_window_events=17)
         got = simulate_multicore(
             streams, machine, config=config, affinity=affinity, max_workers=1
         )
-        assert len(want.per_core) == len(got.per_core)
-        for a, b in zip(want.per_core, got.per_core):
-            assert (a.core, a.socket) == (b.core, b.socket)
-            assert stats_tuple(a.stats) == stats_tuple(b.stats)
-        assert want.access_counts() == got.access_counts()
+        assert [cr.core for cr in got.per_core] == [0, 1, 2]
+        for a, b in zip(want, got.per_core):
+            assert stats_tuple(a) == stats_tuple(b.stats)
 
 
 class TestStreamingReuse:
@@ -337,7 +349,7 @@ class TestChunkedTraceComposition:
         # Use the raw indices as line ids: layout-independent and exact.
         full_lines = trace.indices
         want = stats_tuple(CacheHierarchy(machine).run(full_lines))
-        sim = StreamingHierarchy(machine, sim_engine="batched")
+        sim = StreamingHierarchy(machine)
         sr = StreamingReuse()
         parts = []
         for window in chunked.iter_windows():

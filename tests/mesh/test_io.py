@@ -5,12 +5,15 @@ import pytest
 
 from repro.mesh import (
     MeshValidationError,
-    TriMesh,
     read_json,
     read_triangle,
     write_json,
     write_triangle,
 )
+
+#: The tiny mesh of ``conftest.py`` (vertex 4 interior) as Triangle files.
+TINY_NODE = "5 2 0 0\n0 0 0\n1 2 0\n2 2 2\n3 0 2\n4 1.2 0.9\n"
+TINY_ELE = "4 3 0\n0 0 1 4\n1 1 2 4\n2 2 3 4\n3 3 0 4\n"
 
 
 class TestTriangleFormat:
@@ -30,21 +33,24 @@ class TestTriangleFormat:
         assert node.name == "m.node" and node.exists()
         assert ele.name == "m.ele" and ele.exists()
 
-    def test_reads_one_based_ids(self, tmp_path):
+    def test_reads_one_based_ids(self, tiny_mesh, tmp_path):
         (tmp_path / "one.node").write_text(
-            "3 2 0 0\n1 0.0 0.0\n2 1.0 0.0\n3 0.0 1.0\n"
+            "5 2 0 0\n1 0 0\n2 2 0\n3 2 2\n4 0 2\n5 1.2 0.9\n"
         )
-        (tmp_path / "one.ele").write_text("1 3 0\n1 1 2 3\n")
+        (tmp_path / "one.ele").write_text(
+            "4 3 0\n1 1 2 5\n2 2 3 5\n3 3 4 5\n4 4 1 5\n"
+        )
         mesh = read_triangle(tmp_path / "one")
-        assert mesh.triangles.tolist() == [[0, 1, 2]]
+        assert mesh.triangles.tolist() == tiny_mesh.triangles.tolist()
 
     def test_ignores_comments_and_blank_lines(self, tmp_path):
         (tmp_path / "c.node").write_text(
-            "# header comment\n3 2 0 0\n\n0 0.0 0.0  # vertex 0\n1 1.0 0.0\n2 0.0 1.0\n"
+            "# header comment\n" + TINY_NODE.replace("\n1 ", "\n\n1 ", 1)
+            .replace("0 0 0\n", "0 0 0  # vertex 0\n", 1)
         )
-        (tmp_path / "c.ele").write_text("1 3 0\n0 0 1 2\n")
+        (tmp_path / "c.ele").write_text(TINY_ELE)
         mesh = read_triangle(tmp_path / "c")
-        assert mesh.num_vertices == 3
+        assert mesh.num_vertices == 5
 
     def test_rejects_3d_nodes(self, tmp_path):
         (tmp_path / "d.node").write_text("1 3 0 0\n0 0.0 0.0 0.0\n")
@@ -79,9 +85,17 @@ class TestTriangleFormat:
              "non-finite"),
             ("3 2 0 0\n0 0 0\n1 1 0\n2 nan 1\n", "1 3 0\n0 0 1 2\n",
              "non-finite"),
+            (TINY_NODE, TINY_ELE.replace("4 3 0", "5 3 0") + "4 0 1 4\n",
+             "duplicated"),
+            (TINY_NODE, TINY_ELE.replace("4 3 0", "5 3 0") + "4 4 0 1\n",
+             "duplicated"),
+            ("3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n", "1 3 0\n0 0 1 2\n",
+             "no interior"),
+            (TINY_NODE, TINY_ELE.replace("3 3 0 4", "3 3 3 4"), "repeated"),
         ],
         ids=["extra-node-lines", "short-ele", "bad-float", "missing-column",
-             "index-out-of-range", "inf", "nan"],
+             "index-out-of-range", "inf", "nan", "duplicate-triangle",
+             "rotated-duplicate", "one-triangle", "repeated-vertex"],
     )
     def test_malformed_files_raise_validation_error(
         self, tmp_path, node, ele, match
@@ -105,11 +119,8 @@ class TestJsonFormat:
         assert np.array_equal(back.triangles, tiny_mesh.triangles)
         assert back.name == tiny_mesh.name
 
-    def test_exact_float_roundtrip(self, tmp_path):
-        mesh = TriMesh(
-            np.array([[0.1, 0.2], [1.0 / 3.0, 0.0], [0.0, 2.0 / 7.0]]),
-            np.array([[0, 1, 2]]),
-        )
+    def test_exact_float_roundtrip(self, tiny_mesh, tmp_path):
+        mesh = tiny_mesh.with_vertices(tiny_mesh.vertices + [0.1, 1.0 / 3.0])
         back = read_json(write_json(mesh, tmp_path / "f.json"))
         assert np.array_equal(back.vertices, mesh.vertices)
 
@@ -120,8 +131,13 @@ class TestJsonFormat:
             ('{"vertices": [[0, 0, 0]], "triangles": []}', "shape"),
             ('{"triangles": []}', "malformed"),
             ("not json", "malformed"),
+            ('{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]]}',
+             "no interior"),
+            ('{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2], '
+             '[2, 0, 1]]}', "duplicated"),
         ],
-        ids=["nan", "3-d", "missing-key", "not-json"],
+        ids=["nan", "3-d", "missing-key", "not-json", "one-triangle",
+             "rotated-duplicate"],
     )
     def test_malformed_json_raises_validation_error(self, tmp_path, text, match):
         path = tmp_path / "bad.json"

@@ -4,15 +4,20 @@ Complements the example-based tests in ``test_io.py``/``test_io_off.py``
 with hypothesis-driven properties: for arbitrary meshes (random
 triangulations, arbitrary finite float64 coordinates, affine
 transforms), ``write → read`` must preserve coordinates *bit-for-bit*,
-connectivity exactly, and 0/1-based vertex-id normalisation.
+connectivity exactly, and 0/1-based vertex-id normalisation. The
+readers validate what they read, so a mesh that ``mesh_issues`` faults
+(a degenerate element at extreme coordinates) must be refused instead.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.mesh import (
+    MeshValidationError,
     TriMesh,
+    mesh_issues,
     read_json,
     read_off,
     read_triangle,
@@ -54,16 +59,32 @@ def meshes(draw):
 
 @st.composite
 def extreme_meshes(draw):
-    """A fixed tiny triangulation with arbitrary finite coordinates."""
+    """A fixed tiny triangulation (four triangles around the interior
+    vertex 4) with arbitrary finite coordinates."""
     coords = draw(
-        st.lists(st.tuples(finite, finite), min_size=4, max_size=4).map(np.array)
+        st.lists(st.tuples(finite, finite), min_size=5, max_size=5).map(np.array)
     )
-    return TriMesh(coords, np.array([[0, 1, 2], [1, 3, 2]]), name="extreme")
+    return TriMesh(
+        coords, np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]),
+        name="extreme",
+    )
 
 
 def assert_same_mesh(back: TriMesh, mesh: TriMesh) -> None:
     np.testing.assert_array_equal(back.vertices, mesh.vertices)
     np.testing.assert_array_equal(back.triangles, mesh.triangles)
+
+
+def assert_read_back(read, path, mesh: TriMesh) -> None:
+    """``read(path)`` returns ``mesh`` exactly, or refuses it when
+    ``mesh_issues`` faults it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        issues = mesh_issues(mesh)
+        if issues:
+            with pytest.raises(MeshValidationError):
+                read(path)
+        else:
+            assert_same_mesh(read(path), mesh)
 
 
 class TestTriangleRoundTrip:
@@ -79,7 +100,7 @@ class TestTriangleRoundTrip:
     def test_extreme_coordinates_bit_exact(self, tmp_path_factory, mesh):
         stem = tmp_path_factory.mktemp("tri") / "m"
         write_triangle(mesh, stem)
-        assert_same_mesh(read_triangle(stem), mesh)
+        assert_read_back(read_triangle, stem, mesh)
 
     @FAST
     @given(meshes())
@@ -141,7 +162,7 @@ class TestJsonRoundTrip:
     def test_extreme_coordinates_bit_exact(self, tmp_path_factory, mesh):
         path = tmp_path_factory.mktemp("json") / "m.json"
         write_json(mesh, path)
-        assert_same_mesh(read_json(path), mesh)
+        assert_read_back(read_json, path, mesh)
 
 
 class TestOffRoundTrip:
@@ -157,4 +178,4 @@ class TestOffRoundTrip:
     def test_extreme_coordinates_bit_exact(self, tmp_path_factory, mesh):
         path = tmp_path_factory.mktemp("off") / "m.off"
         write_off(mesh, path)
-        assert_same_mesh(read_off(path), mesh)
+        assert_read_back(read_off, path, mesh)

@@ -126,12 +126,7 @@ class TestPipelineSpans:
 class TestEngineSpecificMetrics:
     def test_vectorized_engine_captures_wavefront_widths(self, ocean_mesh):
         with obs.capture() as tracer:
-            run_ordering(
-                ocean_mesh,
-                "rdr",
-                config=RunConfig(engine="vectorized"),
-                fixed_iterations=1,
-            )
+            run_ordering(ocean_mesh, "rdr", fixed_iterations=1)
         hist = tracer.metrics.snapshot()["histograms"][
             "smoothing.wavefront_width"
         ]

@@ -1,13 +1,14 @@
-"""Differential suite: ``engine="vectorized"`` against the reference.
+"""Differential suite: the wavefront smoother against the scalar loop.
 
-The two engines must be observationally equivalent — same traversals,
-byte-identical access traces, same culling activity, and the same
-coordinates. Coordinates are compared at ``rtol=1e-12``: the wavefront
-kernel's segment sum (``np.add.reduceat``, strict left-to-right) and
-the reference kernel's ``ndarray.mean`` (pairwise above NumPy's 8-wide
-block) may differ in the last ulp for vertices of degree >= 8. Jacobi
-runs are bitwise identical because both engines share
-``smooth_iteration_jacobi``.
+The smoother (NumPy wavefront batches, batch trace emission) and the
+scalar per-vertex oracle (``tests/smoothing/oracles.py``) must be
+observationally equivalent — same traversals, byte-identical access
+traces, same culling activity, and the same coordinates. Coordinates
+are compared at ``rtol=1e-12``: the wavefront kernel's segment sum
+(``np.add.reduceat``, strict left-to-right) and the scalar loop's
+``ndarray.mean`` (pairwise above NumPy's 8-wide block) may differ in
+the last ulp for vertices of degree >= 8. Jacobi runs are bitwise
+identical because both share ``smooth_iteration_jacobi``.
 
 Runs use ``tol=-inf`` with a fixed iteration count where a last-ulp
 quality difference could otherwise flip a convergence decision, plus
@@ -22,9 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import RunConfig
 from repro.meshgen import perturb_interior, structured_rectangle
-from repro.smoothing import ENGINES, LaplacianSmoother, laplacian_smooth
+from repro.smoothing import LaplacianSmoother, laplacian_smooth
+
+from .oracles import scalar_smooth
 
 FAST = settings(
     max_examples=20,
@@ -34,12 +36,7 @@ FAST = settings(
 
 
 def _run_both(mesh, **kwargs):
-    results = {}
-    for engine in ENGINES:
-        results[engine] = laplacian_smooth(
-            mesh, config=RunConfig(engine=engine), **kwargs
-        )
-    return results["reference"], results["vectorized"]
+    return scalar_smooth(mesh, **kwargs), laplacian_smooth(mesh, **kwargs)
 
 
 def assert_equivalent(ref, vec, *, bitwise=False):
@@ -120,8 +117,8 @@ def test_engines_match_jacobi_bitwise(ocean_mesh):
     ny=st.integers(min_value=3, max_value=12),
     # Strictly positive amplitude keeps the quality field generic: on an
     # exactly symmetric mesh the greedy ranking has tied keys, and a
-    # legitimate last-ulp coordinate difference between the engines can
-    # flip the order of a tie (not an engine bug).
+    # legitimate last-ulp coordinate difference from the scalar loop can
+    # flip the order of a tie (not a smoother bug).
     amplitude=st.floats(min_value=0.01, max_value=0.08),
     seed=st.integers(min_value=0, max_value=2**16),
     traversal=st.sampled_from(["storage", "greedy"]),
@@ -145,8 +142,10 @@ def test_engines_match_on_random_meshes(
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        LaplacianSmoother(config=RunConfig(engine="turbo"))
+    # The smoother has one production path; the retired selector is
+    # refused rather than ignored.
+    with pytest.raises(TypeError, match="engine"):
+        LaplacianSmoother(engine="reference")
 
 
 def test_csr_segment_mean_matches_scalar_loop(ocean_mesh):

@@ -93,20 +93,16 @@ SIGNATURE_SNAPSHOT = {
         "(mesh: 'TriMesh', ordering: 'str', *, config: 'RunConfig | None' = "
         "None, machine: 'MachineSpec | None' = None, traversal: 'str' ="
         " 'greedy', max_iterations: 'int' = 50, fixed_iterations: 'int | None'"
-        " = None, qualities: 'np.ndarray | None' = None, seed: 'int | None' ="
-        " None, rank_passes_override: 'int | None' = None, smoother_kwargs: "
-        "'dict | None' = None, precomputed_order: 'np.ndarray | None' = None,"
-        " engine: 'str | None' = None, sim_engine: 'str | None' = None, "
-        "order_engine: 'str | None' = None, summary_only: 'bool' = False, "
+        " = None, qualities: 'np.ndarray | None' = None, "
+        "rank_passes_override: 'int | None' = None, precomputed_order: "
+        "'np.ndarray | None' = None, summary_only: 'bool' = False, "
         "trace_dir: 'str | Path | None' = None) -> 'OrderedRun'"
     ),
     "repro.core.pipeline.run_parallel_ordering": (
         "(mesh: 'TriMesh', ordering: 'str', num_cores: 'int', *, config: "
         "'RunConfig | None' = None, machine: 'MachineSpec | None' = "
         "None, iterations: 'int' = 8, traversal: 'str' = 'greedy', affinity:"
-        " 'str' = 'scatter', qualities: 'np.ndarray | None' = None, seed: "
-        "'int | None' = None, mem_engine: 'str | None' = None, sim_engine: "
-        "'str | None' = None, order_engine: 'str | None' = None) -> "
+        " 'str' = 'scatter', qualities: 'np.ndarray | None' = None) -> "
         "'ParallelRun'"
     ),
     "repro.core.pipeline.compare_orderings": (
@@ -121,31 +117,23 @@ SIGNATURE_SNAPSHOT = {
     "repro.memsim.cache.simulate_trace": (
         "(lines: 'np.ndarray', machine: 'MachineSpec', *, config: "
         "'RunConfig | None' = None, next_line_prefetch: 'bool' = False, "
-        "policy: 'str' = 'lru', sim_engine: 'str | None' = None) -> "
-        "'HierarchyStats'"
+        "policy: 'str' = 'lru') -> 'HierarchyStats'"
     ),
     "repro.memsim.multicore.simulate_multicore": (
         "(lines_per_core: 'list[np.ndarray]', machine: 'MachineSpec', *,"
         " config: 'RunConfig | None' = None, affinity: 'str' = 'compact',"
-        " quantum: 'int' = 64, engine: 'str | None' = None, max_workers: "
-        "'int | None' = None, sim_engine: 'str | None' = None) -> "
+        " quantum: 'int' = 64, max_workers: 'int | None' = None) -> "
         "'MulticoreResult'"
     ),
     "repro.memsim.machine.resolve_machine": (
         "(machine: 'MachineSpec | None') -> 'MachineSpec | None'"
     ),
     "repro.config.RunConfig": (
-        "(engine: 'str' = 'reference', sim_engine: 'str' = 'reference', "
-        "mem_engine: 'str' = 'sequential', order_engine: 'str' = "
-        "'reference', trace_mode: 'str' = "
+        "(mem_engine: 'str' = 'sequential', trace_mode: 'str' = "
         "'materialize', seed: 'int' = 0, "
         "machine_profile:"
         " 'str | None' = None, stream_window_events: 'int | None' = None, "
         "obs: 'ObsConfig' = <factory>) -> None"
-    ),
-    "repro.config.resolve_config": (
-        "(config: 'RunConfig | None', *, stacklevel: 'int' = 3, **legacy) "
-        "-> 'RunConfig'"
     ),
 }
 

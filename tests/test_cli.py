@@ -185,24 +185,27 @@ class TestSeedFlag:
 
 class TestEngineFlags:
     def test_smooth_accepts_engine_flags(self, mesh_stem, capsys):
-        rc = main(["smooth", str(mesh_stem), "--engine", "vectorized",
-                   "--sim-engine", "batched", "--report-cache",
+        rc = main(["smooth", str(mesh_stem), "--mem-engine", "sequential",
+                   "--trace-mode", "fused", "--report-cache",
                    "--ordering", "rdr", "--max-iterations", "2"])
         assert rc == 0
         assert "L1" in capsys.readouterr().out
 
     def test_rejects_unknown_engine(self, mesh_stem):
-        with pytest.raises(SystemExit):
-            main(["smooth", str(mesh_stem), "--engine", "turbo"])
+        # The retired engine flags are unknown options now.
+        for flags in (["--engine", "vectorized"], ["--sim-engine", "batched"],
+                      ["--order-engine", "batched"], ["--mem-engine", "turbo"]):
+            with pytest.raises(SystemExit):
+                main(["smooth", str(mesh_stem), *flags])
 
     def test_list_shows_engine_axes(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "engines:" in out and "vectorized" in out
-        assert "sim engines:" in out and "batched" in out
         assert "mem engines:" in out and "sharded" in out
-        assert "order engines:" in out and "trace modes:" in out
-        assert "backends:" not in out
+        assert "trace modes:" in out and "fused" in out
+        for retired in ("sim engines:", "order engines:", "backends:"):
+            assert retired not in out
+        assert "\nengines:" not in out
 
     def test_smooth_accepts_machine_profile(self, mesh_stem, capsys):
         rc = main(["smooth", str(mesh_stem), "--ordering", "rdr",
@@ -329,6 +332,32 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "header count" in err and "m.node" in err
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda tris: tris + [tris[0]], "duplicated"),
+            (lambda tris: tris + [tris[0][1:] + tris[0][:1]], "duplicated"),
+            (lambda tris: tris[:1], "no interior"),
+            (lambda tris: [[tris[0][0]] * 3] + tris[1:], "repeated"),
+        ],
+        ids=["duplicate-triangle", "rotated-duplicate", "one-triangle",
+             "repeated-vertex"],
+    )
+    def test_invalid_mesh_exits_2(self, mesh_stem, capsys, edit, match):
+        ele = mesh_stem.with_suffix(".ele")
+        _, *body = ele.read_text().splitlines()
+        tris = edit([row.split()[1:4] for row in body])
+        ele.write_text(
+            f"{len(tris)} 3 0\n"
+            + "".join(f"{i} {' '.join(t)}\n" for i, t in enumerate(tris))
+        )
+        rc = main(["smooth", str(mesh_stem), "--max-iterations", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "smoothed" not in captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert match in captured.err and "m.ele" in captured.err
 
     def test_lab_bad_stream_window_exits_2(self, tmp_path, capsys):
         rc = main(["lab", "init", "--db", str(tmp_path / "lab.db"),

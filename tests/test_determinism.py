@@ -6,7 +6,7 @@ iteration order (set/dict ordering leaking into traversals, job keys,
 CSV columns, ...) shows up as a byte diff. Compared artifacts:
 
 * ``repro-lms smooth --seed 7``: stdout and the exported
-  ``.node``/``.ele`` pair, for both engines;
+  ``.node``/``.ele`` pair;
 * one ``lab`` cell (init -> run -> export): the exported CSV with
   ``--drop-timing`` (the one intentionally nondeterministic column is
   the measured per-job wall time).
@@ -40,8 +40,7 @@ def run_cli(argv, *, cwd, hashseed):
     return proc.stdout
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized"])
-def test_smooth_runs_are_byte_identical(tmp_path, engine):
+def test_smooth_runs_are_byte_identical(tmp_path):
     outputs = []
     for hashseed, sub in ((0, "a"), (42, "b")):
         work = tmp_path / sub
@@ -56,7 +55,6 @@ def test_smooth_runs_are_byte_identical(tmp_path, engine):
                 "smooth", "mesh",
                 "--ordering", "rdr",
                 "--seed", "7",
-                "--engine", engine,
                 "--traversal", "greedy",
                 "--output", "smoothed",
             ],
@@ -77,23 +75,29 @@ def test_smooth_runs_are_byte_identical(tmp_path, engine):
 
 
 def test_smooth_engines_agree_on_exported_quality(tmp_path):
-    """The two engines report the same convergence summary on the CLI."""
-    stdouts = {}
-    for engine in ("reference", "vectorized"):
-        work = tmp_path / engine
-        work.mkdir()
-        run_cli(
-            ["generate", "ocean", "mesh", "--vertices", "250", "--seed", "7"],
-            cwd=work,
-            hashseed=0,
-        )
-        stdouts[engine] = run_cli(
-            ["smooth", "mesh", "--ordering", "rdr", "--seed", "7",
-             "--engine", engine],
-            cwd=work,
-            hashseed=0,
-        )
-    assert stdouts["reference"] == stdouts["vectorized"]
+    """The CLI's convergence summary is the scalar oracle's."""
+    from repro.mesh import read_triangle
+    from repro.ordering import apply_ordering
+
+    from tests.smoothing.oracles import scalar_smooth
+
+    run_cli(
+        ["generate", "ocean", "mesh", "--vertices", "250", "--seed", "7"],
+        cwd=tmp_path,
+        hashseed=0,
+    )
+    stdout = run_cli(
+        ["smooth", "mesh", "--ordering", "rdr", "--seed", "7"],
+        cwd=tmp_path,
+        hashseed=0,
+    )
+    ordered, _ = apply_ordering(read_triangle(tmp_path / "mesh"), "rdr", seed=7)
+    ref = scalar_smooth(ordered, max_iterations=50)
+    assert stdout == (
+        f"smoothed in {ref.iterations} iterations "
+        f"({'converged' if ref.converged else 'iteration cap'}): "
+        f"quality {ref.initial_quality:.4f} -> {ref.final_quality:.4f}\n"
+    )
 
 
 @pytest.mark.slow
@@ -110,9 +114,8 @@ def test_lab_run_exports_are_byte_identical(tmp_path):
                 "--domains", "ocean",
                 "--orderings", "rdr,ori",
                 "--vertices", "150",
-                "--seeds", "7",
+                "--seeds", "7,8",
                 "--max-iterations", "3",
-                "--engines", "reference,vectorized",
             ],
             cwd=work,
             hashseed=hashseed,
